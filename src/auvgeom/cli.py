@@ -143,6 +143,60 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_list_of(check, v, length=None) -> bool:
+    return isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
+
+
+def _is_point(v) -> bool:
+    return _is_list_of(_is_number, v, 3)
+
+
+# what each leaf must hold, by the type of its default
+_LEAF_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (_is_point, "an [x, y, z] list of finite numbers"),
+}
+# leaves whose default is null: null, or this
+_NULLABLE = {
+    "deployment.scale_k": _LEAF_TYPES[float],
+    "deployment.side": _LEAF_TYPES[float],
+    "deployment.center": _LEAF_TYPES[list],
+    "deployment.box": (
+        lambda v: _is_list_of(lambda pair: _is_list_of(_is_number, pair, 2), v, 3),
+        "three [low, high] lists of finite numbers",
+    ),
+    "deployment.seed": _LEAF_TYPES[int],
+    "deployment.anchors": (lambda v: _is_list_of(_is_point, v), "a list of [x, y, z] points"),
+    "sweep.axis": _LEAF_TYPES[str],
+    "sweep.values": (lambda v: _is_list_of(_is_number, v), "a list of finite numbers"),
+}
+
+
+def _validate_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> None:
+    """Reject leaves of the wrong type or non-finite numbers, naming the key."""
+    for key, default in defaults.items():
+        where = f"{path}{key}"
+        value = cfg[key]
+        if isinstance(default, dict):
+            _validate_config(value, default, where + ".")
+            continue
+        if default is None:
+            if value is None:
+                continue
+            ok, expected = _NULLABLE[where]
+        else:
+            ok, expected = _LEAF_TYPES[type(default)]
+        if not ok(value):
+            raise ConfigError(f"config key {where!r} expects {expected}, got {value!r}")
+
+
 def _build_noise(cfg: dict) -> NoiseModel:
     section = cfg["noise"]
     if section["kind"] == "constant_variance":
@@ -369,6 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _resolve_config(args)
+        _validate_config(cfg)
         if args.command == "crlb":
             return cmd_crlb(args, cfg)
         if args.command == "optimize-k":

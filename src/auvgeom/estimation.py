@@ -11,6 +11,15 @@ measurement update.  Timing weights are re-evaluated at the current
 iterate when the noise model is distance dependent.  The whole solver is
 vectorized over a batch of samples so Monte-Carlo sweeps pay one numpy
 pass instead of a Python loop per trial.
+
+Each iteration backtracks on the cost with the weights frozen: it tries
+the full step, then the halved steps 1/2 .. 1/2**14 in groups of 1, 2,
+4 and 7 scales, one broadcast kernel call per group over the samples
+still rejected, and takes the first scale that passes.  The ray kernel's
+travel times and Jacobian rows at an accepted candidate become the next
+iterate's, so the kernel runs once on the starting points and then only
+on candidates.  A cheap trace/determinant bound clears well-conditioned
+normal matrices before the eigenvalue test for singularity.
 """
 
 from __future__ import annotations
@@ -166,21 +175,53 @@ def _initial_points(
     return out
 
 
+# the halved steps 1/2 .. 1/2**(BACKTRACK_LIMIT - 1) in groups of 1, 2, 4
+# and 7 scales; ldexp keeps every scale an exact power of two
+_HALVING_SCALES = tuple(
+    np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((1, 2), (2, 4), (4, 8), (8, BACKTRACK_LIMIT))
+)
+
+
 def _weighted_sse(
+    t: np.ndarray,
     q: np.ndarray,
-    p_xyz: np.ndarray,
     rtt: np.ndarray,
     depth: np.ndarray,
-    ssp: SoundSpeedProfile,
     sigma2: np.ndarray,
     w_depth: float,
 ) -> np.ndarray:
+    """Frozen-weight cost of candidates q (..., 3) with travel times t (..., N)."""
     # sigma2 is frozen at the iterate that produced the step, so the line
     # search descends a fixed objective; re-deriving weights from the
     # candidate would let a good step raise the cost and stall the solver.
-    t, _ = _time_and_rows(q, p_xyz, ssp)
     sse = np.sum((rtt - t) ** 2 / sigma2, axis=-1)
     return sse + w_depth * (depth - q[..., 2]) ** 2
+
+
+def _ill_conditioned(jtj: np.ndarray) -> np.ndarray:
+    """True where a normal matrix is non-finite or has cond > 1e12.
+
+    cond is the 2-norm condition number of the symmetric matrix: the
+    ratio of its largest to smallest absolute eigenvalue, inf when the
+    smallest is zero.  The matrices are normal matrices J^T J, positive
+    semi-definite up to rounding, and such a 3x3 matrix with det > 0 has
+    cond <= tr^3 / det, since tr^3 >= l_max^2 * l_mid.  Matrices that
+    bound clears at 1e11, a decade below the limit so that rounding in
+    tr and det cannot matter, skip the eigenvalue solve.
+    """
+    entries = jtj.reshape(-1, 9).T
+    finite = np.isfinite(entries).all(axis=0)
+    bad = ~finite
+    with np.errstate(all="ignore"):
+        a, b, c, _, e, f, _, _, i = entries
+        det = a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
+        clear = (det > 0.0) & ((a + e + i) ** 3 <= 1e11 * det)
+        check = np.flatnonzero(finite & ~clear)
+        if check.size:
+            ev = np.abs(np.linalg.eigvalsh(jtj[check]))
+            ratio = ev.max(axis=1) / ev.min(axis=1)
+            bad[check] = np.where(np.isnan(ratio), np.inf, ratio) > 1e12
+    return bad
 
 
 def _estimate_batch(
@@ -200,6 +241,11 @@ def _estimate_batch(
     sample leaves the active set when it converges, diverges, or hits a
     singular normal matrix; finished samples are frozen while the rest
     continue.
+
+    The travel times and Jacobian rows at every sample's current point
+    are kept alongside it: the kernel runs once on the starting points,
+    and afterwards only on line-search candidates, whose output becomes
+    the next iterate's when the candidate is accepted.
     """
     batch, n = rtt.shape
     if n < 4:
@@ -215,8 +261,10 @@ def _estimate_batch(
         p_b.max(axis=1) - p_b.min(axis=1), axis=1
     )
     w_depth = config.depth_weight
+    sw = math.sqrt(w_depth)
 
     q = _initial_points(depth, p_b, config, truth, batch)
+    t_q, rows_q = _time_and_rows(q, p_b, ssp)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
@@ -229,14 +277,12 @@ def _estimate_batch(
             break
         idx = np.flatnonzero(active)
         qa = q[idx]
-        t, rows = _time_and_rows(qa, p_b[idx], ssp)
         sigma2 = _sigma2_core(noise, _effective_distance(qa, p_b[idx], ssp, noise))
         sigma = np.sqrt(sigma2)
-        design = rows / sigma[..., None]
-        resid = (rtt[idx] - t) / sigma
+        design = rows_q[idx] / sigma[..., None]
+        resid = (rtt[idx] - t_q[idx]) / sigma
 
         # append the depth pseudo-measurement row
-        sw = math.sqrt(w_depth)
         depth_row = np.zeros((len(idx), 1, 3))
         depth_row[:, 0, 2] = sw
         design = np.concatenate([design, depth_row], axis=1)
@@ -245,17 +291,7 @@ def _estimate_batch(
         cur_sse = np.sum(resid**2, axis=1)
         jtj = np.einsum("bni,bnj->bij", design, design)
         jtr = np.einsum("bni,bn->bi", design, resid)
-        finite = np.all(np.isfinite(jtj), axis=(1, 2))
-        with np.errstate(all="ignore"):
-            # 2-norm condition number of the symmetric normal matrix:
-            # ratio of its largest to smallest absolute eigenvalue, inf
-            # when the smallest is zero
-            cond = np.full(len(idx), np.inf)
-            if finite.any():
-                ev = np.abs(np.linalg.eigvalsh(jtj[finite]))
-                ratio = ev.max(axis=1) / ev.min(axis=1)
-                cond[finite] = np.where(np.isnan(ratio), np.inf, ratio)
-        bad = ~finite | (cond > 1e12)
+        bad = _ill_conditioned(jtj)
         if bad.any():
             singular[idx[bad]] = True
             active[idx[bad]] = False
@@ -285,42 +321,54 @@ def _estimate_batch(
         step_norm = step_norm[keep]
         frozen_s2 = sigma2[good][keep]
         ref_sse = cur_sse[good][keep]
+        limit = ref_sse + SSE_SLACK * (1.0 + ref_sse)
 
-        # backtracking: halve the step while the frozen-weight cost worsens
+        # backtracking: take the first of the steps 1, 1/2, ... 1/2**14
+        # whose frozen-weight cost does not worsen; after the full step,
+        # each group of halved steps costs one kernel call over the
+        # samples it still has to place
+        q0 = q[sub]
+        p_s = p_b[sub]
+        cand = q0 + delta
+        t_c, rows_c = _time_and_rows(cand, p_s, ssp)
+        accepted = _weighted_sse(t_c, cand, rtt[sub], depth[sub], frozen_s2, w_depth) <= limit
+        hit = sub[accepted]
+        q[hit], t_q[hit], rows_q[hit] = cand[accepted], t_c[accepted], rows_c[accepted]
         scale = np.ones(len(sub))
-        accepted = np.zeros(len(sub), dtype=bool)
-        new_q = q[sub] + delta
-        new_sse = _weighted_sse(new_q, p_b[sub], rtt[sub], depth[sub], ssp, frozen_s2, w_depth)
-        for _ in range(BACKTRACK_LIMIT):
-            ok = ~accepted & (new_sse <= ref_sse + SSE_SLACK * (1.0 + ref_sse))
-            accepted |= ok
-            if accepted.all():
+        rest = np.flatnonzero(~accepted)
+        for scales in _HALVING_SCALES:
+            if not rest.size:
                 break
-            rest = ~accepted
-            scale[rest] *= 0.5
-            new_q[rest] = q[sub[rest]] + scale[rest, None] * delta[rest]
-            new_sse[rest] = _weighted_sse(
-                new_q[rest], p_b[sub[rest]], rtt[sub[rest]], depth[sub[rest]], ssp,
-                frozen_s2[rest], w_depth,
-            )
-        moved = accepted
-        if moved.any():
-            ms = sub[moved]
-            prev_step[ms] = scale[moved, None] * delta[moved]
-            q[ms] = new_q[moved]
-            done = scale[moved] * step_norm[moved] <= config.position_tolerance
+            cand = q0[rest, None] + scales[:, None] * delta[rest, None]
+            t_c, rows_c = _time_and_rows(cand, p_s[rest, None], ssp)
+            rs = sub[rest]
+            ok = _weighted_sse(
+                t_c, cand, rtt[rs, None], depth[rs, None], frozen_s2[rest, None], w_depth
+            ) <= limit[rest, None]
+            found = ok.any(axis=1)
+            first = ok[found].argmax(axis=1)
+            pick = (np.flatnonzero(found), first)
+            hit = rs[found]
+            q[hit], t_q[hit], rows_q[hit] = cand[pick], t_c[pick], rows_c[pick]
+            placed = rest[found]
+            scale[placed] = scales[first]
+            accepted[placed] = True
+            rest = rest[~found]
+
+        if accepted.any():
+            ms = sub[accepted]
+            prev_step[ms] = scale[accepted, None] * delta[accepted]
+            done = scale[accepted] * step_norm[accepted] <= config.position_tolerance
             converged[ms[done]] = True
             active[ms[done]] = False
-        stalled = ~accepted
-        if stalled.any():
+        if rest.size:
             # no decrease at float resolution: accept the point as final
-            ss = sub[stalled]
-            converged[ss] = step_norm[stalled] <= config.position_tolerance
+            ss = sub[rest]
+            converged[ss] = step_norm[rest] <= config.position_tolerance
             active[ss] = False
 
     with np.errstate(invalid="ignore"):
-        t_final, _ = _time_and_rows(q, p_b, ssp)
-        resid_norm = np.sqrt(np.sum((rtt - t_final) ** 2, axis=1))
+        resid_norm = np.sqrt(np.sum((rtt - t_q) ** 2, axis=1))
     return q, iterations, converged, singular, resid_norm
 
 

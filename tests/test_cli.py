@@ -73,6 +73,23 @@ class TestConfigResolution:
         code, _, err = run(capsys, "--set", "trials", "crlb")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "assignment, key",
+        [
+            ("deployment.n=4.5", "deployment.n"),
+            ("ssp.steepness_a=Infinity", "ssp.steepness_a"),
+            ("auv=[50,50]", "auv"),
+            ('trials="10"', "trials"),
+            ("noise.sigma_ms=NaN", "noise.sigma_ms"),
+            ("deployment.center=[1,2,true]", "deployment.center"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_key(self, capsys, tmp_path, assignment, key):
+        code, _, err = run(capsys, "--set", assignment, "--out", str(tmp_path), "simulate")
+        assert code == 2
+        assert repr(key) in err
+        assert "Traceback" not in err
+
     def test_config_file_then_flag_precedence(self, capsys, tmp_path):
         doc = {"deployment": {"scale_k": 0.85}, "trials": 30, "master_seed": 3}
         cfg = tmp_path / "run.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auvgeom import harness
 from auvgeom.deployment import cube_positions, usc_positions
 from auvgeom.errors import (
     DegenerateGeometry,
@@ -15,18 +16,26 @@ from auvgeom.errors import (
     TooFewAnchors,
 )
 from auvgeom.estimation import (
+    BACKTRACK_LIMIT,
+    DAMPING_FLOOR,
+    DIVERGENCE_SPAN_FACTOR,
+    SSE_SLACK,
     DepthAnchored,
     EstimateResult,
     EstimatorConfig,
     FixedPoint,
     MeasurementSample,
     TruthPerturbed,
+    _effective_distance,
+    _estimate_batch,
+    _ill_conditioned,
+    _initial_points,
     estimate_position,
     estimate_positions,
     rmse,
     simulate_measurements,
 )
-from auvgeom.fisher import NoiseModel, fim
+from auvgeom.fisher import NoiseModel, _sigma2_core, _time_and_rows, fim
 from auvgeom.geometry import Position, SoundSpeedProfile, ray_travel_time
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
@@ -327,3 +336,249 @@ class TestRmse:
             values[sigma_ms] = rmse(results, TRUTH)
         assert 7.0 <= values[1.0] / values[0.1] <= 13.0
         assert 7.0 <= values[10.0] / values[1.0] <= 13.0
+
+
+# ---------------------------------------------------------------------------
+# The batched estimator against a plain reference
+
+
+def eigvalsh_rule(jtj):
+    """Non-finite, or cond > 1e12 from eigvalsh (inf when the smallest is 0)."""
+    finite = np.all(np.isfinite(jtj), axis=(1, 2))
+    with np.errstate(all="ignore"):
+        cond = np.full(len(jtj), np.inf)
+        if finite.any():
+            ev = np.abs(np.linalg.eigvalsh(jtj[finite]))
+            ratio = ev.max(axis=1) / ev.min(axis=1)
+            cond[finite] = np.where(np.isnan(ratio), np.inf, ratio)
+    return ~finite | (cond > 1e12)
+
+
+def reference_estimate_batch(rtt, depth, anchors, ssp, noise, config, truth):
+    """The lockstep Gauss-Newton loop without its shortcuts.
+
+    It calls the kernel at every iterate, halves a rejected step one
+    scale at a time, and runs eigvalsh on every normal matrix.  Returns
+    _estimate_batch's five arrays plus a mask of the samples whose line
+    search rejected every step.
+    """
+    batch, n = rtt.shape
+    p_xyz = anchors if isinstance(anchors, np.ndarray) else np.array(
+        [p.as_array() for p in anchors]
+    )
+    p_b = np.broadcast_to(p_xyz, (batch, n, 3)) if p_xyz.ndim == 2 else p_xyz
+    max_step = DIVERGENCE_SPAN_FACTOR * np.linalg.norm(
+        p_b.max(axis=1) - p_b.min(axis=1), axis=1
+    )
+    w_depth = config.depth_weight
+
+    def weighted_sse(q, p, rtt_s, depth_s, sigma2):
+        t, _ = _time_and_rows(q, p, ssp)
+        sse = np.sum((rtt_s - t) ** 2 / sigma2, axis=-1)
+        return sse + w_depth * (depth_s - q[..., 2]) ** 2
+
+    q = _initial_points(depth, p_b, config, truth, batch)
+    iterations = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
+    singular = np.zeros(batch, dtype=bool)
+    stalled_any = np.zeros(batch, dtype=bool)
+    active = np.ones(batch, dtype=bool)
+    gamma = np.ones(batch)
+    prev_step = np.zeros((batch, 3))
+
+    for _ in range(config.max_iterations):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        qa = q[idx]
+        t, rows = _time_and_rows(qa, p_b[idx], ssp)
+        sigma2 = _sigma2_core(noise, _effective_distance(qa, p_b[idx], ssp, noise))
+        sigma = np.sqrt(sigma2)
+        design = rows / sigma[..., None]
+        resid = (rtt[idx] - t) / sigma
+        sw = math.sqrt(w_depth)
+        depth_row = np.zeros((len(idx), 1, 3))
+        depth_row[:, 0, 2] = sw
+        design = np.concatenate([design, depth_row], axis=1)
+        resid = np.concatenate([resid, (sw * (depth[idx] - qa[:, 2]))[:, None]], axis=1)
+
+        cur_sse = np.sum(resid**2, axis=1)
+        jtj = np.einsum("bni,bnj->bij", design, design)
+        jtr = np.einsum("bni,bn->bi", design, resid)
+        bad = eigvalsh_rule(jtj)
+        singular[idx[bad]] = True
+        active[idx[bad]] = False
+        good = ~bad
+        if not good.any():
+            continue
+        sub = idx[good]
+        delta = np.linalg.solve(jtj[good], jtr[good][..., None])[..., 0]
+        iterations[sub] += 1
+
+        reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
+        gamma[sub] = np.where(
+            reversed_dir,
+            np.maximum(gamma[sub] * 0.5, DAMPING_FLOOR),
+            np.minimum(gamma[sub] * 2.0, 1.0),
+        )
+        delta = delta * gamma[sub][:, None]
+        step_norm = np.linalg.norm(delta, axis=1)
+        runaway = step_norm > max_step[sub]
+        active[sub[runaway]] = False
+        keep = ~runaway
+        if not keep.any():
+            continue
+        sub = sub[keep]
+        delta = delta[keep]
+        step_norm = step_norm[keep]
+        frozen_s2 = sigma2[good][keep]
+        ref_sse = cur_sse[good][keep]
+
+        scale = np.ones(len(sub))
+        accepted = np.zeros(len(sub), dtype=bool)
+        new_q = q[sub] + delta
+        new_sse = weighted_sse(new_q, p_b[sub], rtt[sub], depth[sub], frozen_s2)
+        for k in range(BACKTRACK_LIMIT):
+            accepted |= new_sse <= ref_sse + SSE_SLACK * (1.0 + ref_sse)
+            if accepted.all() or k == BACKTRACK_LIMIT - 1:
+                break
+            rest = ~accepted
+            scale[rest] *= 0.5
+            new_q[rest] = q[sub[rest]] + scale[rest, None] * delta[rest]
+            new_sse[rest] = weighted_sse(
+                new_q[rest], p_b[sub[rest]], rtt[sub[rest]], depth[sub[rest]],
+                frozen_s2[rest],
+            )
+        ms = sub[accepted]
+        prev_step[ms] = scale[accepted, None] * delta[accepted]
+        q[ms] = new_q[accepted]
+        done = scale[accepted] * step_norm[accepted] <= config.position_tolerance
+        converged[ms[done]] = True
+        active[ms[done]] = False
+        ss = sub[~accepted]
+        stalled_any[ss] = True
+        converged[ss] = step_norm[~accepted] <= config.position_tolerance
+        active[ss] = False
+
+    with np.errstate(invalid="ignore"):
+        t_final, _ = _time_and_rows(q, p_b, ssp)
+        resid_norm = np.sqrt(np.sum((rtt - t_final) ** 2, axis=1))
+    return (q, iterations, converged, singular, resid_norm), stalled_any
+
+
+def recorded_inputs(spec, cells):
+    """The estimate_trials arguments of the given (scheme, axis value) cells."""
+    calls = []
+    original = harness.estimate_trials
+
+    def record(rtt, depth, anchor_stack, ssp, noise, config, truth=None):
+        calls.append((rtt, depth, anchor_stack, ssp, noise, config))
+        return original(rtt, depth, anchor_stack, ssp, noise, config, truth)
+
+    harness.estimate_trials = record
+    try:
+        for scheme, value in cells:
+            harness._sweep_one(spec, scheme, spec.schemes[scheme], value)
+    finally:
+        harness.estimate_trials = original
+    return calls
+
+
+class TestBatchMatchesReference:
+    """_estimate_batch returns exactly what the plain loop returns."""
+
+    def check(self, rtt, depth, anchors, ssp, noise, config, truth=None):
+        got = _estimate_batch(rtt, depth, anchors, ssp, noise, config, truth)
+        want, stalled = reference_estimate_batch(rtt, depth, anchors, ssp, noise, config, truth)
+        for name, g, w in zip(("q", "iterations", "converged", "singular", "residual"), got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        _, iters, conv, singular, _ = want
+        at_cap = ~conv & ~singular & (iters >= config.max_iterations)
+        return int(at_cap.sum()), int(stalled.sum()), int(singular.sum())
+
+    def test_fig4a_cube_and_random_cells(self):
+        # trial 675 of the cube n=4 cell rejects every step at seed 0
+        spec = harness.fig4a_spec(master_seed=0, trials=700)
+        cells = [(scheme, n) for scheme in ("cube", "random") for n in (4.0, 8.0)]
+        inputs = recorded_inputs(spec, cells)
+        assert len(inputs) == len(cells)
+        at_cap = stalled = 0
+        for args in inputs:
+            a, s, _ = self.check(*args)
+            at_cap += a
+            stalled += s
+        # the cells reach both early exits of the line search loop
+        assert at_cap > 0 and stalled > 0
+
+    def test_fig5_shared_anchors_at_10_ms(self):
+        spec = harness.fig5_spec(master_seed=0, trials=200)
+        cells = [(scheme, 10.0) for scheme in ("usc", "cube", "random")]
+        for rtt, depth, stack, ssp, noise, config in recorded_inputs(spec, cells):
+            # fixed layouts: pass the one (N, 3) array the trials share
+            assert np.all(stack == stack[0])
+            self.check(rtt, depth, stack[0], ssp, noise, config)
+
+    def test_truth_perturbed_start(self):
+        noise = NoiseModel.constant_variance(5e-3)
+        samples = [simulate_measurements(TRUTH, USC8, SSP, noise, seed=i) for i in range(100)]
+        rtt = np.array([s.rtt for s in samples])
+        depth = np.array([s.depth_meas for s in samples])
+        config = EstimatorConfig(initial_guess=TruthPerturbed(radius_m=40.0, seed=3))
+        self.check(rtt, depth, USC8, SSP, noise, config, truth=TRUTH)
+
+    def test_batch_with_singular_layouts(self):
+        # every third trial puts anchors and AUV in one vertical plane
+        plane = [(90.0, 50.0, 0.0), (140.0, 50.0, 0.0), (-10.0, 50.0, 0.0), (-60.0, 50.0, 0.0)]
+        usc = [p.as_array() for p in usc_positions(TRUTH, 4, 1.0)]
+        stack = np.array([plane if i % 3 == 0 else usc for i in range(30)])
+        noise = NoiseModel.distance_dependent()
+        rng = np.random.default_rng(0)
+        t, _ = _time_and_rows(np.tile(TRUTH.as_array(), (30, 1)), stack, SSP)
+        rtt = t + 1e-3 * rng.normal(size=t.shape)
+        depth = TRUTH.z + rng.normal(size=30)
+        _, _, singular = self.check(rtt, depth, stack, SSP, noise, EstimatorConfig())
+        assert singular == 10
+
+
+class TestConditionScreen:
+    def test_flags_what_eigvalsh_flags(self):
+        rng = np.random.default_rng(1)
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+
+        def with_cond(c):
+            return rot @ np.diag([2.0, 1.0, 2.0 / c]) @ rot.T
+
+        near = [with_cond(1e12 * (1.0 + f)) for f in (-1e-3, 1e-3)]
+        design = rng.normal(size=(9, 3))
+        design[:, 2] = design[:, 0] - design[:, 1]
+        mats = np.array(
+            [
+                with_cond(1e11),
+                *near,
+                with_cond(1e13),
+                design.T @ design,  # rank two up to rounding
+                np.diag([3.0, 1.0, 0.0]),  # exactly rank two
+                np.zeros((3, 3)),
+                np.diag([1.0, 2.0, -3.0]),  # indefinite, det < 0
+                np.diag([1.0, 1.0, -1e-13]),  # indefinite, det < 0, cond 1e13
+                np.full((3, 3), np.nan),
+                np.diag([1.0, np.inf, 1.0]),
+                np.eye(3),
+            ]
+        )
+        want = eigvalsh_rule(mats)
+        # the cases straddle the limit
+        assert want.tolist() == [
+            False, False, True, True, True, True, True, False, True, True, True, False
+        ]
+        np.testing.assert_array_equal(_ill_conditioned(mats), want)
+
+    def test_random_normal_matrices(self):
+        # Gram matrices of designs whose column scales spread over many
+        # decades: some are cleared, some checked, some flagged
+        rng = np.random.default_rng(2)
+        design = rng.normal(size=(500, 9, 3)) * rng.lognormal(0.0, 4.0, size=(500, 1, 3))
+        jtj = np.einsum("bni,bnj->bij", design, design)
+        want = eigvalsh_rule(jtj)
+        assert 0 < want.sum() < 100
+        np.testing.assert_array_equal(_ill_conditioned(jtj), want)
