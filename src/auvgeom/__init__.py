@@ -13,7 +13,6 @@ from .errors import (
     AuvgeomError,
     DegenerateAfterRetries,
     DegenerateGeometry,
-    DivergedEstimate,
     EmptyTable,
     GrazingRay,
     NoConvergedTrials,
@@ -29,14 +28,12 @@ from .errors import (
 )
 from .geometry import (
     Position,
-    RayGeometry,
     SoundSpeedProfile,
     arc_length,
     bearing,
     deviation_angle,
     elevation_angle,
     horizontal_range,
-    ray_geometry,
     ray_travel_time,
     snell_travel_time_oracle,
     sound_speed,
@@ -51,10 +48,8 @@ from .fisher import (
     noise_variance,
 )
 from .deployment import (
-    BaselineLayout,
     KSearchResult,
     OptimizerConfig,
-    UscLayout,
     cube_positions,
     default_box_for,
     default_cube_for,
@@ -73,7 +68,6 @@ from .estimation import (
     MeasurementSample,
     TruthPerturbed,
     estimate_position,
-    estimate_positions,
     rmse,
     simulate_measurements,
 )

@@ -7,8 +7,9 @@ by the dedicated flags (--seed, --workers).  Every output CSV embeds the
 tool version and the fully resolved config as '#' comment lines, so a
 result file is a complete experiment record.
 
-Exit codes: 0 success, 2 configuration or validation failure, 3 singular
-or degenerate geometry, 4 optimizer non-convergence.
+Exit codes: 0 success, 2 configuration or validation failure (an
+arithmetic overflow or division by zero on extreme values included), 3
+singular or degenerate geometry, 4 optimizer non-convergence.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .harness import (
     _fixed_layout,
     emit_plot,
     export_csv,
+    fig3_spec,
     run_scenario,
     sweep,
 )
@@ -268,6 +270,20 @@ def _metadata(cfg: dict) -> tuple[str, ...]:
     return (f"auvgeom {__version__}", f"config {resolved}")
 
 
+def _changed_leaves(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = ""):
+    """Dotted keys whose value differs from the default, in document order."""
+    for key, default in defaults.items():
+        where = f"{path}{key}"
+        if isinstance(default, dict):
+            yield from _changed_leaves(cfg[key], default, where + ".")
+        elif cfg[key] != default:
+            yield where
+
+
+# the only config leaves a --figure preset reads
+_FIGURE_KEYS = ("master_seed", "trials", "workers")
+
+
 def _out_dir(args: argparse.Namespace) -> str | None:
     return args.out if args.out is not None else os.environ.get("AUVGEOM_OUT")
 
@@ -332,8 +348,7 @@ def cmd_optimize_k(args: argparse.Namespace, cfg: dict) -> int:
             trials=1,
             master_seed=scenario.master_seed,
         )
-        values = tuple(round(0.5 + 0.05 * i, 2) for i in range(21))
-        spec = SweepSpec(axis=Axis.SCALE_K, values=values, base=base)
+        spec = SweepSpec(axis=Axis.SCALE_K, values=fig3_spec().values, base=base)
         table = sweep(spec)
         path = os.path.join(out, "ksweep.csv")
         export_csv(table, path, comments=_metadata(cfg))
@@ -348,7 +363,15 @@ def cmd_optimize_k(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     out = _out_dir(args) or "."
     spec = None
+    comments = _metadata(cfg)
     if args.figure is not None:
+        ignored = next((k for k in _changed_leaves(cfg) if k not in _FIGURE_KEYS), None)
+        if ignored is not None:
+            raise ConfigError(
+                f"--figure {args.figure} fixes its own scenario; config key {ignored!r} "
+                "would be ignored (only master_seed, trials and workers apply)"
+            )
+        comments = _metadata({"figure": args.figure, **{k: cfg[k] for k in _FIGURE_KEYS}})
         maker = FIGURE_SPECS[args.figure]
         if args.figure == "3":
             spec = maker(master_seed=cfg["master_seed"])
@@ -371,7 +394,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
         else:
             table = ResultTable(rows=(run_scenario(scenario),))
     path = os.path.join(out, f"{stem}.csv")
-    export_csv(table, path, comments=_metadata(cfg))
+    export_csv(table, path, comments=comments)
     print(f"wrote {path}")
     if args.plot:
         svg_path = os.path.join(out, f"{stem}.svg")
@@ -431,6 +454,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_simulate(args, cfg)
     except (ConfigError, ValueError, TooFewAnchors, UnsupportedCount) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
+        # overflow or division by zero on extreme but finite config values
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except NonPositiveK as e:
         print(f"error: {e}", file=sys.stderr)

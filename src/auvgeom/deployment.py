@@ -44,25 +44,6 @@ BASELINE_OFFSET_DEPTH_RATIO = 2.1
 
 
 @dataclass(frozen=True)
-class UscLayout:
-    """A generated USC layout together with its parameters."""
-
-    anchor_count_N: int
-    scale_k: float
-    auv: Position
-    anchors: tuple[Position, ...]
-
-    @staticmethod
-    def build(auv: Position, n: int, k: float) -> "UscLayout":
-        return UscLayout(
-            anchor_count_N=n,
-            scale_k=k,
-            auv=auv,
-            anchors=tuple(usc_positions(auv, n, k)),
-        )
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     """Gradient-descent settings for the radius-scale search.
 
@@ -94,35 +75,6 @@ class KSearchResult:
     iterations: int
     converged: bool
     objective: float
-
-
-@dataclass(frozen=True)
-class BaselineLayout:
-    """Cube or random comparison layout parameters.
-
-    kind "cube" uses side/center (center's depth is ignored; the cube
-    spans depths [0, side]).  kind "random" draws n anchors uniformly
-    from box = ((xmin, xmax), (ymin, ymax), (zmin, zmax)) with the given
-    seed.
-    """
-
-    kind: str
-    n: int = 8
-    side: float | None = None
-    center: Position | None = None
-    box: tuple[tuple[float, float], ...] | None = None
-    seed: int | None = None
-
-    def positions(self) -> list[Position]:
-        if self.kind == "cube":
-            if self.side is None or self.center is None:
-                raise ValueError("cube layout needs side and center")
-            return cube_positions(self.center, self.side, self.n)
-        if self.kind == "random":
-            if self.box is None or self.seed is None:
-                raise ValueError("random layout needs box and seed")
-            return random_positions(self.box, self.n, self.seed)
-        raise ValueError(f"unknown layout kind {self.kind!r}")
 
 
 def usc_positions(auv: Position, n: int, k: float) -> list[Position]:

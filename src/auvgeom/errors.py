@@ -68,15 +68,6 @@ class NoConvergedTrials(AuvgeomError):
     defined."""
 
 
-class DivergedEstimate(AuvgeomError):
-    """A Gauss-Newton step left the sanity region (10x the anchor span).
-
-    The single-sample estimator reports this condition through a
-    non-converged result rather than raising; the class exists for callers
-    that want to promote the flag to an exception.
-    """
-
-
 class SingularNormalMatrix(AuvgeomError):
     """The 3x3 Gauss-Newton normal system is numerically singular."""
 

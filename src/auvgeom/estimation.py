@@ -18,8 +18,8 @@ the full step, then the halved steps 1/2 .. 1/2**14 in groups of 1, 2,
 still rejected, and takes the first scale that passes.  The ray kernel's
 travel times and Jacobian rows at an accepted candidate become the next
 iterate's, so the kernel runs once on the starting points and then only
-on candidates.  A cheap trace/determinant bound clears well-conditioned
-normal matrices before the eigenvalue test for singularity.
+on candidates.  A normal matrix counts as singular under the same
+screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     SingularNormalMatrix,
     TooFewAnchors,
 )
-from .fisher import NoiseModel, _sigma2_core, _time_and_rows
+from .fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows
 from .geometry import Position, SoundSpeedProfile
 
 DEPTH_NOISE_VAR = 1.0  # m^2, depth-sensor error variance
@@ -112,21 +112,6 @@ class EstimateResult:
     final_residual_norm: float
 
 
-def _effective_distance(
-    q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise: NoiseModel
-) -> np.ndarray:
-    """Per-pair distance feeding the noise model: slant range, or arc length."""
-    diff = q_xyz[..., None, :] - p_xyz
-    r = np.sqrt(np.sum(diff ** 2, axis=-1))
-    if not noise.use_arc_length:
-        return r
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    axial = 2.0 * ssp.surface_speed_b / ssp.steepness_a + q_xyz[..., None, 2] + p_xyz[..., 2]
-    alpha = np.arctan2(d, axial)
-    factor = np.where(alpha > 1e-9, alpha / np.where(alpha > 0, np.sin(alpha), 1.0), 1.0)
-    return r * factor
-
-
 def simulate_measurements(
     q: Position,
     anchors: list[Position],
@@ -146,7 +131,7 @@ def simulate_measurements(
     t, _ = _time_and_rows(q_xyz, p_xyz, ssp)
     if not np.all(np.isfinite(t)):
         raise DegenerateGeometry("invalid ray geometry for at least one anchor")
-    sigma = np.sqrt(_sigma2_core(noise, _effective_distance(q_xyz, p_xyz, ssp, noise)))
+    sigma = np.sqrt(_sigma2(q_xyz, p_xyz, ssp, noise))
     rtt = t + rng.normal(0.0, 1.0, len(anchors)) * sigma
     depth = q.z + rng.normal(0.0, math.sqrt(DEPTH_NOISE_VAR))
     return MeasurementSample(rtt=tuple(float(v) for v in rtt), depth_meas=float(depth))
@@ -196,32 +181,6 @@ def _weighted_sse(
     # candidate would let a good step raise the cost and stall the solver.
     sse = np.sum((rtt - t) ** 2 / sigma2, axis=-1)
     return sse + w_depth * (depth - q[..., 2]) ** 2
-
-
-def _ill_conditioned(jtj: np.ndarray) -> np.ndarray:
-    """True where a normal matrix is non-finite or has cond > 1e12.
-
-    cond is the 2-norm condition number of the symmetric matrix: the
-    ratio of its largest to smallest absolute eigenvalue, inf when the
-    smallest is zero.  The matrices are normal matrices J^T J, positive
-    semi-definite up to rounding, and such a 3x3 matrix with det > 0 has
-    cond <= tr^3 / det, since tr^3 >= l_max^2 * l_mid.  Matrices that
-    bound clears at 1e11, a decade below the limit so that rounding in
-    tr and det cannot matter, skip the eigenvalue solve.
-    """
-    entries = jtj.reshape(-1, 9).T
-    finite = np.isfinite(entries).all(axis=0)
-    bad = ~finite
-    with np.errstate(all="ignore"):
-        a, b, c, _, e, f, _, _, i = entries
-        det = a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
-        clear = (det > 0.0) & ((a + e + i) ** 3 <= 1e11 * det)
-        check = np.flatnonzero(finite & ~clear)
-        if check.size:
-            ev = np.abs(np.linalg.eigvalsh(jtj[check]))
-            ratio = ev.max(axis=1) / ev.min(axis=1)
-            bad[check] = np.where(np.isnan(ratio), np.inf, ratio) > 1e12
-    return bad
 
 
 def _estimate_batch(
@@ -277,7 +236,7 @@ def _estimate_batch(
             break
         idx = np.flatnonzero(active)
         qa = q[idx]
-        sigma2 = _sigma2_core(noise, _effective_distance(qa, p_b[idx], ssp, noise))
+        sigma2 = _sigma2(qa, p_b[idx], ssp, noise)
         sigma = np.sqrt(sigma2)
         design = rows_q[idx] / sigma[..., None]
         resid = (rtt[idx] - t_q[idx]) / sigma
@@ -402,39 +361,6 @@ def estimate_position(
         converged=bool(conv[0]),
         final_residual_norm=float(resid[0]),
     )
-
-
-def estimate_positions(
-    samples: list[MeasurementSample],
-    anchors: list[Position],
-    ssp: SoundSpeedProfile,
-    noise: NoiseModel,
-    config: EstimatorConfig | None = None,
-    truth: Position | None = None,
-) -> list[EstimateResult]:
-    """Batched variant of estimate_position for Monte-Carlo runs.
-
-    Singular trials come back as non-converged results instead of
-    raising, so one bad draw cannot abort a sweep.
-    """
-    cfg = config or EstimatorConfig()
-    if not samples:
-        return []
-    rtt = np.array([s.rtt for s in samples])
-    depth = np.array([s.depth_meas for s in samples])
-    q, iters, conv, singular, resid = _estimate_batch(
-        rtt, depth, anchors, ssp, noise, cfg, truth
-    )
-    conv = conv & ~singular
-    return [
-        EstimateResult(
-            q_hat=Position(*q[i]),
-            iterations=int(iters[i]),
-            converged=bool(conv[i]),
-            final_residual_norm=float(resid[i]),
-        )
-        for i in range(len(samples))
-    ]
 
 
 def estimate_trials(

@@ -9,18 +9,19 @@ Fisher information matrix for the AUV position is
 where row i of J is the gradient of travel time t_i with respect to the
 AUV coordinates.  That gradient has the closed form
 
-    (2 sin(alpha_i) / (a r_i)) * (cos(phi_i), sin(phi_i), tan(theta_i - alpha_i))
+    (2 sin(alpha_i) / (a r_i)) * (cos(phi_i), sin(phi_i), tan(theta_i - alpha_i)).
 
-and, equivalently, a chain-rule assembly through the intermediate angles
-theta and alpha.  ``fim`` additionally rebuilds the matrix from direct
-entrywise sums over the per-anchor angles and verifies the two routes
-agree to 1e-10 relative before inverting; the 3x3 inverse goes through
-the explicit adjugate so results are bit-reproducible.
+``_time_and_rows`` evaluates travel times and these rows for any batch of
+anchor-AUV pairs, and ``_sigma2`` the timing variances.  They are the one
+source of both for ``fim``, the measurement simulator, the Monte-Carlo
+harness and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
+refuses a matrix whose condition number exceeds 1e12 with the same
+screened test the estimator applies to its normal matrices, and inverts
+the rest with LAPACK.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,7 @@ from .errors import (
     TooFewAnchors,
     ZeroDiagonal,
 )
-from .geometry import (
-    COINCIDENT_TOL,
-    Position,
-    SoundSpeedProfile,
-    arc_length,
-    bearing,
-    deviation_angle,
-    elevation_angle,
-    horizontal_range,
-)
+from .geometry import COINCIDENT_TOL, Position, SoundSpeedProfile
 
 DEGENERACY_TOL = 1e-12
 CONDITION_LIMIT = 1e12
@@ -124,197 +116,14 @@ class FimResult:
     offdiag_residual: float
 
 
-def _sigma2_core(noise: NoiseModel, distance_l):
-    # vectorized variance; distance_l may be an array
-    if noise.kind == KIND_CONSTANT:
-        s2 = noise.sigma ** 2
-        return np.full(np.shape(distance_l), s2) if np.ndim(distance_l) else s2
-    l = np.asarray(distance_l, dtype=float)
-    a_db = 10.0 * noise.beta * np.log10(l / noise.l0) + (l - noise.l0) * (
-        noise.l_f_db_per_km / 1000.0
-    )
-    out = np.power(10.0, (noise.ke_db + a_db) / 10.0)
-    return out if np.ndim(distance_l) else float(out)
-
-
-def noise_variance(noise: NoiseModel, distance_l: float) -> float:
-    """Timing variance sigma^2 in s^2 at the given distance in meters."""
-    if not distance_l > 0.0:
-        raise ValueError("distance_l must be positive")
-    return float(_sigma2_core(noise, distance_l))
-
-
-def _anchor_distance(q: Position, p: Position, ssp: SoundSpeedProfile, noise: NoiseModel) -> float:
-    if noise.use_arc_length:
-        return arc_length(q, p, ssp)
-    return math.hypot(horizontal_range(q, p), q.z - p.z)
-
-
-def jacobian_row(
-    q: Position, p: Position, ssp: SoundSpeedProfile, method: str = "closed"
-) -> tuple[float, float, float]:
-    """Gradient of the travel time with respect to the AUV coordinates.
-
-    method "closed" evaluates
-
-        (2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha)),
-
-    method "chain" assembles the same vector through the partials of t
-    with respect to theta and alpha and of those angles with respect to
-    position.  The two agree to machine precision and are cross-checked
-    in the test suite.  Raises DegenerateGeometry when the horizontal
-    range vanishes or |cos^2(theta) - sin^2(alpha)| < 1e-12 (the chain
-    denominators vanish there).
-    """
-    d = horizontal_range(q, p)
-    if d <= COINCIDENT_TOL:
-        raise DegenerateGeometry("zero horizontal range")
-    theta = elevation_angle(q, p)
-    alpha = deviation_angle(q, p, ssp)
-    denom = math.cos(theta) ** 2 - math.sin(alpha) ** 2
-    if abs(denom) < DEGENERACY_TOL:
-        raise DegenerateGeometry(
-            f"|cos^2(theta) - sin^2(alpha)| = {abs(denom):.3e} below tolerance"
-        )
-    a = ssp.steepness_a
-    phi = bearing(q, p)
-    r = math.hypot(d, q.z - p.z)
-
-    if method == "closed":
-        scale = 2.0 * math.sin(alpha) / (a * r)
-        return (
-            scale * math.cos(phi),
-            scale * math.sin(phi),
-            scale * math.tan(theta - alpha),
-        )
-    if method == "chain":
-        l = math.hypot(d, 2.0 * ssp.surface_speed_b / a + q.z + p.z)
-        dt_dtheta = 2.0 * math.sin(theta) * math.sin(alpha) / (a * denom)
-        dt_dalpha = 2.0 * math.cos(theta) * math.cos(alpha) / (a * denom)
-        dtheta = (-math.sin(theta) * math.cos(phi) / r,
-                  -math.sin(theta) * math.sin(phi) / r,
-                  math.cos(theta) / r)
-        dalpha = (math.cos(alpha) * math.cos(phi) / l,
-                  math.cos(alpha) * math.sin(phi) / l,
-                  -math.sin(alpha) / l)
-        return tuple(
-            dt_dtheta * dth + dt_dalpha * dal for dth, dal in zip(dtheta, dalpha)
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
-def jacobian(q: Position, anchors: list[Position], ssp: SoundSpeedProfile) -> np.ndarray:
-    """Stack jacobian_row over the anchor list into an (N, 3) array.
-
-    Requires at least four anchors; row errors are re-raised with the
-    offending anchor index prepended.
-    """
-    if len(anchors) < 4:
-        raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
-    rows = np.empty((len(anchors), 3), dtype=float)
-    for i, p in enumerate(anchors):
-        try:
-            rows[i] = jacobian_row(q, p, ssp)
-        except DegenerateGeometry as exc:
-            raise DegenerateGeometry(f"anchor {i}: {exc}") from exc
-    return rows
-
-
-def _invert3(m: np.ndarray) -> tuple[np.ndarray, float]:
-    # explicit adjugate inverse of a 3x3 matrix; returns (inverse, det)
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    co = np.array(
-        [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ]
-    )
-    det = a * co[0, 0] + b * co[1, 0] + c * co[2, 0]
-    return co / det, det
-
-
-def fim(
-    q: Position,
-    anchors: list[Position],
-    ssp: SoundSpeedProfile,
-    noise: NoiseModel,
-) -> FimResult:
-    """Fisher information and CRLB for one AUV position and anchor set.
-
-    Assembles J^T Sigma^{-1} J, rebuilds the same matrix from the direct
-    entrywise angle sums (prefactor 4/a^2, e.g.
-    psi_11 = (4/a^2) * sum sin^2(alpha) cos^2(theta) cos^2(phi) / (d^2 sigma^2)),
-    and asserts the two agree to 1e-10 relative.  The CRLB is the
-    adjugate 3x3 inverse, refused with SingularFim when the condition
-    number exceeds 1e12.
-    """
-    rows = jacobian(q, anchors, ssp)
-    sigma2 = np.array([
-        noise_variance(noise, _anchor_distance(q, p, ssp, noise)) for p in anchors
-    ])
-    fim_rows = rows.T @ (rows / sigma2[:, None])
-
-    # independent entrywise assembly from the per-anchor angles
-    a = ssp.steepness_a
-    d = np.array([horizontal_range(q, p) for p in anchors])
-    theta = np.array([elevation_angle(q, p) for p in anchors])
-    alpha = np.array([deviation_angle(q, p, ssp) for p in anchors])
-    phi = np.array([bearing(q, p) for p in anchors])
-    w = np.sin(alpha) ** 2 * np.cos(theta) ** 2 / (d ** 2 * sigma2)
-    tz = np.tan(theta - alpha)
-    pre = 4.0 / a ** 2
-    psi = np.empty((3, 3))
-    psi[0, 0] = pre * np.sum(w * np.cos(phi) ** 2)
-    psi[1, 1] = pre * np.sum(w * np.sin(phi) ** 2)
-    psi[2, 2] = pre * np.sum(w * tz ** 2)
-    psi[0, 1] = psi[1, 0] = pre * np.sum(w * np.cos(phi) * np.sin(phi))
-    psi[0, 2] = psi[2, 0] = pre * np.sum(w * np.cos(phi) * tz)
-    psi[1, 2] = psi[2, 1] = pre * np.sum(w * np.sin(phi) * tz)
-
-    scale = np.abs(fim_rows).max()
-    assert np.abs(fim_rows - psi).max() <= 1e-10 * scale, (
-        "matrix-product and entrywise FIM assemblies disagree"
-    )
-
-    offdiag = max(
-        abs(psi[0, 1]), abs(psi[0, 2]), abs(psi[1, 2])
-    ) / max(psi[0, 0], psi[1, 1], psi[2, 2])
-
-    cond = np.linalg.cond(psi)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularFim(f"FIM condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    crlb, _ = _invert3(psi)
-    crlb = 0.5 * (crlb + crlb.T)  # symmetrize roundoff
-    return FimResult(
-        fim=psi,
-        crlb=crlb,
-        trace_crlb=float(np.trace(crlb)),
-        offdiag_residual=float(offdiag),
-    )
-
-
-def diagonal_lower_bound(result: FimResult) -> float:
-    """Sum of reciprocal Fisher diagonals, a lower bound on trace_crlb.
-
-    Equals trace_crlb exactly when the FIM is diagonal.  Raises
-    ZeroDiagonal when a diagonal entry vanishes.
-    """
-    diag = np.diagonal(result.fim)
-    if np.any(diag == 0.0):
-        raise ZeroDiagonal("a diagonal Fisher entry is zero")
-    return float(np.sum(1.0 / diag))
-
-
 def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile):
-    """Vectorized travel times and Jacobian rows for batched estimation.
+    """Vectorized travel times and Jacobian rows, the one production source of both.
 
     q_xyz broadcasts as (..., 3) and p_xyz as (..., N, 3); returns
     (t, rows) with shapes (..., N) and (..., N, 3).  Entries are NaN
-    wherever the pair is vertical, grazing, or chain-degenerate, so the
-    caller can treat invalid geometry as an infinite-cost region.
+    wherever the pair is vertical, grazing, or has |cos^2(theta) -
+    sin^2(alpha)| < 1e-12, so the caller can treat invalid geometry as
+    an infinite-cost region.
     """
     b = ssp.surface_speed_b
     a = ssp.steepness_a
@@ -355,7 +164,145 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
     return t, rows
 
 
-def _slant_range(q_xyz: np.ndarray, p_xyz: np.ndarray) -> np.ndarray:
-    """Straight-line distances, q as (..., 3) against anchors (..., N, 3)."""
+def _variance_at(noise: NoiseModel, distance_l):
+    # sigma^2 in s^2 at distance_l in meters, elementwise
+    if noise.kind == KIND_CONSTANT:
+        return np.full(np.shape(distance_l), noise.sigma ** 2)
+    a_db = 10.0 * noise.beta * np.log10(distance_l / noise.l0) + (distance_l - noise.l0) * (
+        noise.l_f_db_per_km / 1000.0
+    )
+    return np.power(10.0, (noise.ke_db + a_db) / 10.0)
+
+
+def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise: NoiseModel):
+    """Timing variances, q_xyz as (..., 3) against anchors p_xyz (..., N, 3).
+
+    The distance fed to the noise model is the slant range r, or the
+    bent-ray arc length r * alpha / sin(alpha) when the model asks for
+    it (the chord itself below alpha = 1e-9).  Returns shape (..., N).
+    """
     diff = q_xyz[..., None, :] - p_xyz
-    return np.sqrt(np.sum(diff ** 2, axis=-1))
+    l = np.sqrt(np.sum(diff ** 2, axis=-1))
+    if noise.use_arc_length:
+        d = np.hypot(diff[..., 0], diff[..., 1])
+        axial = 2.0 * ssp.surface_speed_b / ssp.steepness_a + q_xyz[..., None, 2] + p_xyz[..., 2]
+        alpha = np.arctan2(d, axial)
+        l = l * np.where(alpha > 1e-9, alpha / np.where(alpha > 0, np.sin(alpha), 1.0), 1.0)
+    return _variance_at(noise, l)
+
+
+def noise_variance(noise: NoiseModel, distance_l: float) -> float:
+    """Timing variance sigma^2 in s^2 at the given distance in meters."""
+    if not distance_l > 0.0:
+        raise ValueError("distance_l must be positive")
+    return float(_variance_at(noise, distance_l))
+
+
+def _anchor_arrays(q: Position, anchors: list[Position]) -> tuple[np.ndarray, np.ndarray]:
+    if len(anchors) < 4:
+        raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
+    return q.as_array(), np.array([p.as_array() for p in anchors])
+
+
+def _checked_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile) -> np.ndarray:
+    """The kernel's (N, 3) rows; DegenerateGeometry names the first
+    anchor whose row is undefined."""
+    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
+    bad = np.flatnonzero(np.isnan(rows).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if np.hypot(*(q_xyz[:2] - p_xyz[i, :2])) <= COINCIDENT_TOL:
+            reason = "zero horizontal range"
+        else:
+            reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
+        raise DegenerateGeometry(f"anchor {i}: {reason}")
+    return rows
+
+
+def jacobian_row(q: Position, p: Position, ssp: SoundSpeedProfile) -> tuple[float, float, float]:
+    """Gradient of the travel time with respect to the AUV coordinates,
+
+        (2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha)).
+
+    Raises DegenerateGeometry when the horizontal range vanishes, the
+    ray grazes, or |cos^2(theta) - sin^2(alpha)| < 1e-12.
+    """
+    rows = _checked_rows(q.as_array(), p.as_array()[None], ssp)
+    return tuple(float(v) for v in rows[0])
+
+
+def jacobian(q: Position, anchors: list[Position], ssp: SoundSpeedProfile) -> np.ndarray:
+    """The (N, 3) Jacobian: one jacobian_row per anchor.
+
+    Requires at least four anchors; a degenerate row raises
+    DegenerateGeometry with the offending anchor index prepended.
+    """
+    return _checked_rows(*_anchor_arrays(q, anchors), ssp)
+
+
+def _ill_conditioned(m: np.ndarray) -> np.ndarray:
+    """True where a symmetric 3x3 matrix is non-finite or has cond > 1e12.
+
+    m is a (..., 3, 3) stack.  cond is the 2-norm condition number: the
+    ratio of the largest to the smallest absolute eigenvalue, inf when
+    the smallest is zero.  The matrices are Fisher or normal matrices,
+    positive semi-definite up to rounding, and such a matrix with
+    det > 0 has cond <= tr^3 / det, since tr^3 >= l_max^2 * l_mid.
+    Matrices that bound clears at 1e11, a decade below the limit so that
+    rounding in tr and det cannot matter, skip the eigenvalue solve.
+    """
+    entries = m.reshape(-1, 9).T
+    finite = np.isfinite(entries).all(axis=0)
+    bad = ~finite
+    with np.errstate(all="ignore"):
+        a, b, c, _, e, f, _, _, i = entries
+        det = a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
+        clear = (det > 0.0) & ((a + e + i) ** 3 <= CONDITION_LIMIT / 10 * det)
+        check = np.flatnonzero(finite & ~clear)
+        if check.size:
+            ev = np.abs(np.linalg.eigvalsh(m.reshape(-1, 3, 3)[check]))
+            ratio = ev.max(axis=1) / ev.min(axis=1)
+            bad[check] = np.where(np.isnan(ratio), np.inf, ratio) > CONDITION_LIMIT
+    return bad.reshape(m.shape[:-2])
+
+
+def fim(
+    q: Position,
+    anchors: list[Position],
+    ssp: SoundSpeedProfile,
+    noise: NoiseModel,
+) -> FimResult:
+    """Fisher information and CRLB for one AUV position and anchor set.
+
+    Forms J^T Sigma^{-1} J from the kernel's rows and the shared
+    variances.  Raises SingularFim when the matrix is not finite or its
+    condition number exceeds 1e12; otherwise the CRLB is its inverse.
+    """
+    q_xyz, p_xyz = _anchor_arrays(q, anchors)
+    rows = _checked_rows(q_xyz, p_xyz, ssp)
+    with np.errstate(all="ignore"):
+        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, ssp, noise)[:, None])
+        f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding
+    if _ill_conditioned(f):
+        raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")
+    crlb = np.linalg.inv(f)
+    crlb = 0.5 * (crlb + crlb.T)  # symmetrize roundoff
+    offdiag = max(abs(f[0, 1]), abs(f[0, 2]), abs(f[1, 2])) / np.diagonal(f).max()
+    return FimResult(
+        fim=f,
+        crlb=crlb,
+        trace_crlb=float(np.trace(crlb)),
+        offdiag_residual=float(offdiag),
+    )
+
+
+def diagonal_lower_bound(result: FimResult) -> float:
+    """Sum of reciprocal Fisher diagonals, a lower bound on trace_crlb.
+
+    Equals trace_crlb exactly when the FIM is diagonal.  Raises
+    ZeroDiagonal when a diagonal entry vanishes.
+    """
+    diag = np.diagonal(result.fim)
+    if np.any(diag == 0.0):
+        raise ZeroDiagonal("a diagonal Fisher entry is zero")
+    return float(np.sum(1.0 / diag))

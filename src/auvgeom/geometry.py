@@ -76,25 +76,6 @@ class Position:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-@dataclass(frozen=True)
-class RayGeometry:
-    """All per-pair ray quantities bundled together.
-
-    Fields: horizontal range d, straight (slant) range r, bearing phi in
-    (-pi, pi], chord elevation theta in (-pi/2, pi/2), ray deviation
-    alpha in [0, pi/2), the auxiliary length l = sqrt(d^2 + (2b/a+z+z_i)^2)
-    used by the Jacobian, and the travel time t along the bent ray.
-    """
-
-    horizontal_range_d: float
-    slant_range_r: float
-    bearing_phi: float
-    elevation_theta: float
-    deviation_alpha: float
-    aux_l: float
-    travel_time_t: float
-
-
 def sound_speed(ssp: SoundSpeedProfile, z: float) -> float:
     """Sound speed C(z) = b + a*z in m/s."""
     c = ssp.surface_speed_b + ssp.steepness_a * z
@@ -161,15 +142,6 @@ def deviation_angle(q: Position, p: Position, ssp: SoundSpeedProfile) -> float:
     return math.atan2(d, _axial_span(q, p, ssp))
 
 
-def aux_l(q: Position, p: Position, ssp: SoundSpeedProfile) -> float:
-    """Auxiliary length sqrt(d^2 + (2b/a + z + z_i)^2).
-
-    The hypotenuse paired with deviation_angle: l*sin(alpha) = d.  Always
-    at least 2b/a for endpoints at or below the surface.
-    """
-    return math.hypot(horizontal_range(q, p), _axial_span(q, p, ssp))
-
-
 def _travel_time_core(
     d: np.ndarray,
     zq: np.ndarray,
@@ -201,8 +173,9 @@ def ray_travel_time(q: Position, p: Position, ssp: SoundSpeedProfile) -> float:
         t = (1/a) * [F(theta+alpha) - F(theta-alpha)],
         F(x) = ln((1+sin x)/cos x),
 
-    evaluated as asinh(tan(x)) for numerical stability.  Symmetric in the
-    endpoints.  Returns exactly 0 for coincident points.  Raises
+    evaluated as asinh(tan(x)) for numerical stability; the scalar
+    reference for the batched kernel ``fisher._time_and_rows``.  Symmetric
+    in the endpoints.  Returns exactly 0 for coincident points.  Raises
     VerticalRay for a vertical pair and GrazingRay when either log
     argument is within the 1e-12 cosine guard of its singularity.
     """
@@ -223,31 +196,14 @@ def ray_travel_time(q: Position, p: Position, ssp: SoundSpeedProfile) -> float:
     return t
 
 
-def ray_geometry(q: Position, p: Position, ssp: SoundSpeedProfile) -> RayGeometry:
-    """Bundle all ray quantities for one anchor-AUV pair.
-
-    Requires a strictly positive horizontal range (bearing must exist);
-    component errors propagate.
-    """
-    d = horizontal_range(q, p)
-    return RayGeometry(
-        horizontal_range_d=d,
-        slant_range_r=math.hypot(d, q.z - p.z),
-        bearing_phi=bearing(q, p),
-        elevation_theta=elevation_angle(q, p),
-        deviation_alpha=deviation_angle(q, p, ssp),
-        aux_l=aux_l(q, p, ssp),
-        travel_time_t=ray_travel_time(q, p, ssp),
-    )
-
-
 def arc_length(q: Position, p: Position, ssp: SoundSpeedProfile) -> float:
     """Length of the circular ray arc between q and p.
 
     The arc subtends 2*alpha at its center and the chord is r, giving
     s = r * alpha / sin(alpha); equals the chord in the alpha -> 0 limit.
-    Used by the distance-dependent noise model when configured to measure
-    path loss along the ray instead of the chord.
+    The scalar reference for the arc-length distance that the
+    distance-dependent noise model uses when asked to measure path loss
+    along the ray instead of the chord (``fisher._sigma2``).
     """
     d = horizontal_range(q, p)
     r = math.hypot(d, q.z - p.z)

@@ -36,13 +36,8 @@ from .deployment import (
     usc_positions,
 )
 from .errors import AuvgeomError, EmptyTable, NoConvergedTrials
-from .estimation import (
-    DEPTH_NOISE_VAR,
-    EstimatorConfig,
-    _effective_distance,
-    estimate_trials,
-)
-from .fisher import NoiseModel, _sigma2_core, _time_and_rows, fim
+from .estimation import DEPTH_NOISE_VAR, EstimatorConfig, estimate_trials
+from .fisher import NoiseModel, _sigma2, _time_and_rows, fim
 from .geometry import Position, SoundSpeedProfile
 
 DIVERGENCE_FLAG_FRACTION = 0.05
@@ -300,7 +295,7 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
         depth_dev[t] = noise_rng.normal(0.0, math.sqrt(DEPTH_NOISE_VAR))
 
     t_true, rows = _time_and_rows(truth, anchor_stack, s.ssp)
-    sigma2 = _sigma2_core(s.noise, _effective_distance(truth, anchor_stack, s.ssp, s.noise))
+    sigma2 = _sigma2(truth, anchor_stack, s.ssp, s.noise)
     rtt = t_true + unit_dev * np.sqrt(sigma2)
     depth_meas = truth[:, 2] + depth_dev
 
@@ -318,21 +313,33 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
     return rmse_val, trace, diverged, k_used, n
 
 
-def run_scenario(s: Scenario, axis_name: str = "single", axis_value: float = 0.0) -> Row:
-    """Execute one scenario and summarize it as a table row."""
-    rmse_val, trace, diverged, k_used, n = _run_mc(s)
+def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> Row:
+    # a row before any result: NaN estimates, nothing diverged
     return Row(
         axis_name=axis_name,
         axis_value=axis_value,
-        scheme=_scheme_label(s.deployment, s.movement),
-        n_anchors=n,
-        k=k_used,
-        rmse_m=rmse_val,
-        trace_crlb_m2=trace,
-        diverged=diverged,
+        scheme=scheme,
+        n_anchors=getattr(s.deployment, "n", 0),
+        k=float("nan"),
+        rmse_m=float("nan"),
+        trace_crlb_m2=float("nan"),
+        diverged=0,
         trials=s.trials,
         seed=s.master_seed,
     )
+
+
+def _mc_row(row: Row, s: Scenario) -> Row:
+    rmse_val, trace, diverged, k_used, n = _run_mc(s)
+    return replace(
+        row, n_anchors=n, k=k_used, rmse_m=rmse_val, trace_crlb_m2=trace, diverged=diverged
+    )
+
+
+def run_scenario(s: Scenario, axis_name: str = "single", axis_value: float = 0.0) -> Row:
+    """Execute one scenario and summarize it as a table row."""
+    scheme = _scheme_label(s.deployment, s.movement)
+    return _mc_row(_blank_row(s, axis_name, axis_value, scheme), s)
 
 
 def _scheme_label(dep: Deployment, move: Movement) -> str:
@@ -352,6 +359,8 @@ def _apply_axis(s: Scenario, axis: Axis, value: float) -> Scenario:
     if axis is Axis.ANCHOR_COUNT:
         if isinstance(s.deployment, FixedAnchors):
             raise ValueError("anchor-count sweeps need a generated deployment")
+        if not float(value).is_integer():
+            raise ValueError(f"anchor count must be a whole number, got {value!r}")
         return replace(s, deployment=replace(s.deployment, n=int(value)))
     if axis is Axis.SIGMA_MS:
         if s.noise.kind != "constant_variance":
@@ -375,52 +384,15 @@ def _sweep_one(spec: SweepSpec, scheme: str, variant: Variant, value: float) -> 
     if variant.movement is not None:
         s = replace(s, movement=variant.movement)
     s = _apply_axis(s, spec.axis, value)
-
+    row = _blank_row(s, spec.axis.value, value, scheme)
     if spec.axis is Axis.SCALE_K:
         # analytic rows: no Monte-Carlo, timing-only closed form
-        dep = s.deployment
-        trace = k_objective(value, s.auv_truth.z, dep.n, s.ssp, s.noise)
-        return Row(
-            axis_name=spec.axis.value,
-            axis_value=value,
-            scheme=scheme,
-            n_anchors=dep.n,
-            k=value,
-            rmse_m=float("nan"),
-            trace_crlb_m2=trace,
-            diverged=0,
-            trials=0,
-            seed=s.master_seed,
-        )
-
+        trace = k_objective(value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
+        return replace(row, k=value, trace_crlb_m2=trace, trials=0)
     try:
-        rmse_val, trace, diverged, k_used, n = _run_mc(s)
-        return Row(
-            axis_name=spec.axis.value,
-            axis_value=value,
-            scheme=scheme,
-            n_anchors=n,
-            k=k_used,
-            rmse_m=rmse_val,
-            trace_crlb_m2=trace,
-            diverged=diverged,
-            trials=s.trials,
-            seed=s.master_seed,
-        )
+        return _mc_row(row, s)
     except AuvgeomError as e:
-        return Row(
-            axis_name=spec.axis.value,
-            axis_value=value,
-            scheme=scheme,
-            n_anchors=getattr(s.deployment, "n", 0),
-            k=float("nan"),
-            rmse_m=float("nan"),
-            trace_crlb_m2=float("nan"),
-            diverged=0,
-            trials=s.trials,
-            seed=s.master_seed,
-            note=f"{type(e).__name__}: {e}",
-        )
+        return replace(row, note=f"{type(e).__name__}: {e}")
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:

@@ -1,8 +1,14 @@
 """Command-line behavior: config resolution, outputs, and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auvgeom.cli import main
 from auvgeom.harness import CSV_HEADER, load_csv
@@ -214,3 +220,90 @@ class TestSimulate:
         cfg.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "--config", str(cfg), "--out", str(tmp_path), "simulate")
         assert code == 2
+
+    def test_fractional_anchor_count_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "--set", "sweep.axis=anchor_count", "--set", "sweep.values=[4.5,5]",
+            "--out", str(tmp_path), "simulate",
+        )
+        assert code == 2
+        assert "4.5" in err and "whole number" in err
+        assert not (tmp_path / "simulate.csv").exists()
+
+    def test_figure_rejects_config_it_would_ignore(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "--figure", "3", "--set", "noise.kind=constant_variance",
+            "--set", "noise.sigma_ms=5", "--set", "deployment.n=4",
+            "--out", str(tmp_path), "simulate",
+        )
+        assert code == 2
+        assert "'noise.kind'" in err
+        assert not (tmp_path / "fig3.csv").exists()
+
+    def test_figure_header_records_only_what_applies(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "--figure", "3", "--seed", "4", "--set", "trials=7",
+            "--out", str(tmp_path), "simulate",
+        )
+        assert code == 0
+        lines = (tmp_path / "fig3.csv").read_text().splitlines()
+        config = json.loads(lines[1].removeprefix("# config "))
+        assert config == {"figure": "3", "master_seed": 4, "trials": 7, "workers": 1}
+
+
+# numeric config leaves the fuzz test assigns finite doubles to
+FLOAT_LEAVES = (
+    "ssp.surface_speed_b",
+    "ssp.steepness_a",
+    "noise.sigma_ms",
+    "noise.ke_db",
+    "noise.beta",
+    "noise.l0",
+    "noise.l_f_db_per_km",
+    "optimizer.initial_k",
+    "optimizer.step_size_t",
+    "optimizer.precision_eps",
+    "optimizer.fd_step_h",
+    "deployment.scale_k",
+    "deployment.side",
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+assignments = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(FLOAT_LEAVES), finite.map(repr)),
+        st.tuples(st.just("auv"), st.lists(finite, min_size=3, max_size=3).map(json.dumps)),
+        st.tuples(
+            st.sampled_from(("deployment.n", "deployment.seed")),
+            st.one_of(finite.map(repr), st.integers(-2, 64).map(str)),
+        ),
+        st.tuples(st.just("deployment.kind"), st.sampled_from(("usc", "cube", "random"))),
+        st.tuples(
+            st.just("noise.kind"), st.sampled_from(("constant_variance", "distance_dependent"))
+        ),
+    ).map("=".join),
+    min_size=1,
+    max_size=3,
+)
+commands = st.sampled_from((("crlb",), ("optimize-k",), ("optimize-k", "--grid")))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(assignments, commands)
+@example(["ssp.steepness_a=5e-324"], ("crlb",))
+@example(["noise.ke_db=-2.2e163", "deployment.kind=random", "deployment.seed=2"], ("crlb",))
+@example(["ssp.steepness_a=1e30"], ("crlb",))
+@example(["ssp.steepness_a=1e30"], ("optimize-k",))
+@example(
+    ["noise.kind=constant_variance", "noise.sigma_ms=1e308", "deployment.kind=cube"], ("crlb",)
+)
+@example(["ssp.steepness_a=4e257", "deployment.kind=random", "deployment.seed=4"], ("crlb",))
+@example(["optimizer.initial_k=1e-139", "optimizer.fd_step_h=1e-193"], ("optimize-k",))
+def test_any_finite_config_exits_cleanly(assignments, command):
+    argv = [arg for a in assignments for arg in ("--set", a)] + list(command)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
+        os.environ.pop("AUVGEOM_OUT", None)  # no output files
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

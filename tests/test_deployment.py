@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from auvgeom import deployment
 from auvgeom.deployment import (
-    BaselineLayout,
     KSearchResult,
     OptimizerConfig,
-    UscLayout,
     cube_positions,
     default_box_for,
     default_cube_for,
@@ -31,8 +29,20 @@ from auvgeom.errors import (
 )
 from auvgeom.fisher import NoiseModel, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
+from auvgeom.harness import Cube, Random, Scenario, Usc, _fixed_layout
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
+
+def scene(auv, deployment):
+    return Scenario(
+        auv_truth=auv,
+        deployment=deployment,
+        ssp=SSP,
+        noise=NoiseModel.constant_variance(1e-3),
+        trials=1,
+        master_seed=0,
+    )
+
 
 # Frozen against a 50-digit evaluation of the closed form.
 TRACE_K1_Z50_N4 = 5.5019688345307934624
@@ -64,11 +74,10 @@ class TestUscPositions:
         assert np.allclose(gaps, 2.0 * math.pi / 6, atol=1e-12)
 
     def test_layout_builder(self):
-        layout = UscLayout.build(Position(1.0, 2.0, 30.0), 5, 0.9)
-        assert layout.anchor_count_N == 5
-        assert layout.scale_k == 0.9
-        assert len(layout.anchors) == 5
-        assert layout.anchors == tuple(usc_positions(layout.auv, 5, 0.9))
+        auv = Position(1.0, 2.0, 30.0)
+        anchors, k, n = _fixed_layout(scene(auv, Usc(scale_k=0.9, n=5)))
+        assert (k, n) == (0.9, 5)
+        assert anchors == usc_positions(auv, 5, 0.9)
 
     def test_too_few_anchors(self):
         with pytest.raises(TooFewAnchors):
@@ -353,16 +362,16 @@ class TestDefaults:
     def test_baseline_layout_dispatch(self):
         auv = Position(0.0, 0.0, 50.0)
         center, side = default_cube_for(auv)
-        cube = BaselineLayout(kind="cube", n=8, side=side, center=center)
-        assert cube.positions() == cube_positions(center, side, 8)
-        rand = BaselineLayout(kind="random", n=6, box=default_box_for(auv), seed=3)
-        assert rand.positions() == random_positions(default_box_for(auv), 6, 3)
-        with pytest.raises(ValueError):
-            BaselineLayout(kind="ring").positions()
-        with pytest.raises(ValueError):
-            BaselineLayout(kind="cube").positions()
-        with pytest.raises(ValueError):
-            BaselineLayout(kind="random", box=default_box_for(auv)).positions()
+        anchors, k, n = _fixed_layout(scene(auv, Cube()))
+        assert anchors == cube_positions(center, side, 8)
+        assert math.isnan(k) and n == 8
+        anchors, _, n = _fixed_layout(scene(auv, Random(n=6, seed=3)))
+        assert anchors == random_positions(default_box_for(auv), 6, 3)
+        assert n == 6
+        # no seed: the harness redraws the layout every trial
+        assert _fixed_layout(scene(auv, Random(n=6)))[0] is None
+        with pytest.raises(UnsupportedCount):
+            _fixed_layout(scene(auv, Cube(n=9)))
 
 
 def test_result_is_frozen():

@@ -26,16 +26,14 @@ from auvgeom.estimation import (
     FixedPoint,
     MeasurementSample,
     TruthPerturbed,
-    _effective_distance,
     _estimate_batch,
-    _ill_conditioned,
     _initial_points,
     estimate_position,
-    estimate_positions,
+    estimate_trials,
     rmse,
     simulate_measurements,
 )
-from auvgeom.fisher import NoiseModel, _sigma2_core, _time_and_rows, fim
+from auvgeom.fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows, fim
 from auvgeom.geometry import Position, SoundSpeedProfile, ray_travel_time
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
@@ -46,6 +44,20 @@ USC8 = usc_positions(TRUTH, 8, 1.0)
 def exact_sample(q, anchors, depth=None):
     rtt = tuple(ray_travel_time(q, p, SSP) for p in anchors)
     return MeasurementSample(rtt=rtt, depth_meas=q.z if depth is None else depth)
+
+
+def estimate_samples(samples, anchors, noise):
+    """estimate_trials over a list of samples: (q_hat, iterations, converged)."""
+    rtt = np.array([s.rtt for s in samples]).reshape(len(samples), len(anchors))
+    depth = np.array([s.depth_meas for s in samples])
+    p_xyz = np.array([p.as_array() for p in anchors])
+    q_hat, iterations, converged, _ = estimate_trials(rtt, depth, p_xyz, SSP, noise)
+    return q_hat, iterations, converged
+
+
+def squared_errors(q_hat, converged=None):
+    err2 = np.sum((q_hat - TRUTH.as_array()) ** 2, axis=1)
+    return err2 if converged is None else err2[converged]
 
 
 def augmented_bound(q, anchors, noise, depth_weight=1.0):
@@ -188,12 +200,9 @@ class TestEstimatePosition:
             simulate_measurements(TRUTH, USC8, SSP, NOISE_1MS, seed=1000 + i)
             for i in range(trials)
         ]
-        results = estimate_positions(samples, USC8, SSP, NOISE_1MS)
-        assert all(r.converged for r in results)
-        err2 = [
-            float(np.sum((r.q_hat.as_array() - TRUTH.as_array()) ** 2)) for r in results
-        ]
-        mse = float(np.mean(err2))
+        q_hat, _, converged = estimate_samples(samples, USC8, NOISE_1MS)
+        assert converged.all()
+        mse = float(np.mean(squared_errors(q_hat)))
         bound = augmented_bound(TRUTH, USC8, NOISE_1MS)
         assert abs(mse / bound - 1.0) <= 0.25
 
@@ -205,12 +214,8 @@ class TestEstimatePosition:
                 simulate_measurements(TRUTH, anchors, SSP, NOISE_1MS, seed=i)
                 for i in range(trials)
             ]
-            results = estimate_positions(samples, anchors, SSP, NOISE_1MS)
-            err2 = [
-                float(np.sum((r.q_hat.as_array() - TRUTH.as_array()) ** 2))
-                for r in results
-                if r.converged
-            ]
+            q_hat, _, converged = estimate_samples(samples, anchors, NOISE_1MS)
+            err2 = squared_errors(q_hat, converged)
             bound = augmented_bound(TRUTH, anchors, NOISE_1MS)
             assert np.mean(err2) >= floor * bound
 
@@ -225,12 +230,8 @@ class TestEstimatePosition:
             simulate_measurements(TRUTH, anchors, SSP, noise, seed=500 + i)
             for i in range(trials)
         ]
-        results = estimate_positions(samples, anchors, SSP, noise)
-        err2 = [
-            float(np.sum((r.q_hat.as_array() - TRUTH.as_array()) ** 2))
-            for r in results
-            if r.converged
-        ]
+        q_hat, _, converged = estimate_samples(samples, anchors, noise)
+        err2 = squared_errors(q_hat, converged)
         bound = augmented_bound(TRUTH, anchors, noise)
         assert abs(np.mean(err2) / bound - 1.0) <= 0.25
 
@@ -281,15 +282,17 @@ class TestEstimatePosition:
         samples = [
             simulate_measurements(TRUTH, USC8, SSP, NOISE_1MS, seed=i) for i in range(5)
         ]
-        batch = estimate_positions(samples, USC8, SSP, NOISE_1MS)
+        q_hat, iterations, converged = estimate_samples(samples, USC8, NOISE_1MS)
         single = [estimate_position(s, USC8, SSP, NOISE_1MS) for s in samples]
-        for got, want in zip(batch, single):
-            assert got.q_hat == want.q_hat
-            assert got.iterations == want.iterations
-            assert got.converged == want.converged
+        for i, want in enumerate(single):
+            assert Position(*q_hat[i]) == want.q_hat
+            assert iterations[i] == want.iterations
+            assert converged[i] == want.converged
 
     def test_empty_batch(self):
-        assert estimate_positions([], USC8, SSP, NOISE_1MS) == []
+        q_hat, iterations, converged = estimate_samples([], USC8, NOISE_1MS)
+        assert q_hat.shape == (0, 3)
+        assert iterations.size == 0 and converged.size == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -332,8 +335,8 @@ class TestRmse:
                 simulate_measurements(TRUTH, USC8, SSP, noise, seed=i)
                 for i in range(600)
             ]
-            results = estimate_positions(samples, USC8, SSP, noise)
-            values[sigma_ms] = rmse(results, TRUTH)
+            q_hat, _, converged = estimate_samples(samples, USC8, noise)
+            values[sigma_ms] = math.sqrt(np.mean(squared_errors(q_hat, converged)))
         assert 7.0 <= values[1.0] / values[0.1] <= 13.0
         assert 7.0 <= values[10.0] / values[1.0] <= 13.0
 
@@ -392,7 +395,7 @@ def reference_estimate_batch(rtt, depth, anchors, ssp, noise, config, truth):
         idx = np.flatnonzero(active)
         qa = q[idx]
         t, rows = _time_and_rows(qa, p_b[idx], ssp)
-        sigma2 = _sigma2_core(noise, _effective_distance(qa, p_b[idx], ssp, noise))
+        sigma2 = _sigma2(qa, p_b[idx], ssp, noise)
         sigma = np.sqrt(sigma2)
         design = rows / sigma[..., None]
         resid = (rtt[idx] - t) / sigma

@@ -22,6 +22,7 @@ from auvgeom.fisher import (
     noise_variance,
 )
 from auvgeom.geometry import Position, SoundSpeedProfile, ray_travel_time
+from oracles import angle_sum_fim, chain_row, closed_row
 
 SSP = SoundSpeedProfile(1480.0, 0.1)
 
@@ -102,12 +103,13 @@ class TestJacobianRow:
                 assert g == pytest.approx(w, rel=1e-5, abs=1e-12)
 
     def test_chain_matches_closed(self):
+        # the kernel's closed form against the chain-rule oracle
         rng = np.random.default_rng(11)
         for _ in range(200):
             q, anchors = random_scene(rng, n=1)
             p = anchors[0]
-            closed = jacobian_row(q, p, SSP, method="closed")
-            chain = jacobian_row(q, p, SSP, method="chain")
+            closed = jacobian_row(q, p, SSP)
+            chain = chain_row(q, p, SSP)
             for c, h in zip(closed, chain):
                 assert h == pytest.approx(c, rel=1e-12, abs=1e-20)
 
@@ -121,10 +123,6 @@ class TestJacobianRow:
     def test_degenerate_vertical(self):
         with pytest.raises(DegenerateGeometry):
             jacobian_row(Position(0, 0, 50), Position(0, 0, 0), SSP)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            jacobian_row(Position(50, 50, 50), Position(92, 50, 0), SSP, method="x")
 
 
 class TestJacobian:
@@ -196,6 +194,39 @@ class TestFim:
         assert 0.0 < rel < 1e-3
 
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel.constant_variance(1e-3),
+            NoiseModel.distance_dependent(),
+            NoiseModel.distance_dependent(use_arc_length=True),
+        ],
+        ids=["constant", "distance", "arc_length"],
+    )
+    def test_matches_angle_sum_oracle(self, noise):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            q, anchors = random_scene(rng, n=int(rng.integers(4, 12)))
+            want = angle_sum_fim(q, anchors, SSP, noise)
+            got = fim(q, anchors, SSP, noise).fim
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_matches_chain_rule_rows(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            q, anchors = random_scene(rng)
+            rows = jacobian(q, anchors, SSP)
+            want = np.array([chain_row(q, p, SSP) for p in anchors])
+            gap = np.linalg.norm(rows - want, axis=1)
+            assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    def test_vanishing_variance_is_singular(self):
+        # sigma^2 underflows to 0, so the Fisher matrix is not finite
+        q, anchors = random_scene(np.random.default_rng(53))
+        with pytest.raises(SingularFim):
+            fim(q, anchors, SSP, NoiseModel.distance_dependent(ke_db=-2.2e163))
+
+
 class TestDiagonalLowerBound:
     def test_bound_below_trace(self):
         rng = np.random.default_rng(31)
@@ -242,7 +273,7 @@ class TestBatchedCore:
         assert rows.shape == (5, 3)
         for i, p in enumerate(anchors):
             assert t[i] == pytest.approx(ray_travel_time(q, p, SSP), rel=1e-14)
-            want = jacobian_row(q, p, SSP)
+            want = closed_row(q, p, SSP)
             for j in range(3):
                 assert rows[i, j] == pytest.approx(want[j], rel=1e-12, abs=1e-20)
 

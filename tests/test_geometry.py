@@ -15,12 +15,10 @@ from auvgeom.geometry import (
     Position,
     SoundSpeedProfile,
     arc_length,
-    aux_l,
     bearing,
     deviation_angle,
     elevation_angle,
     horizontal_range,
-    ray_geometry,
     ray_travel_time,
     snell_travel_time_oracle,
     sound_speed,
@@ -130,17 +128,6 @@ class TestAngles:
         assert a_lo <= a_hi
         assert 0.0 <= a_lo < math.pi / 2
 
-    def test_aux_l_origin(self):
-        assert aux_l(Position(0, 0, 0), Position(0, 0, 0), SSP) == pytest.approx(29600.0)
-
-    def test_aux_l_canonical(self):
-        got = aux_l(Position(50, 50, 50), Position(92, 50, 0), SSP)
-        assert got == pytest.approx(math.hypot(42.0, 29650.0), rel=1e-15)
-
-    @given(separated_pairs(min_d=0.0))
-    def test_aux_l_floor(self, pair):
-        q, p = pair
-        assert aux_l(q, p, SSP) >= 2 * SSP.surface_speed_b / SSP.steepness_a
 
 
 class TestTravelTime:
@@ -215,32 +202,33 @@ class TestTravelTime:
 
 
 class TestRayGeometry:
+    """The per-pair ray quantities taken together."""
+
     def test_fields_consistent(self):
         q, p = Position(50, 50, 50), Position(92, 50, 0)
-        g = ray_geometry(q, p, SSP)
-        assert g.horizontal_range_d == pytest.approx(42.0)
-        assert g.slant_range_r ** 2 == pytest.approx(
-            g.horizontal_range_d ** 2 + (q.z - p.z) ** 2, rel=1e-12
-        )
-        assert g.bearing_phi == pytest.approx(math.pi)
-        assert g.travel_time_t == pytest.approx(T_CANONICAL, rel=1e-12)
-        assert g.aux_l == pytest.approx(math.hypot(42.0, 29650.0))
+        d = horizontal_range(q, p)
+        assert d == pytest.approx(42.0)
+        assert bearing(q, p) == pytest.approx(math.pi)
+        assert elevation_angle(q, p) == pytest.approx(math.atan(50.0 / 42.0))
+        assert deviation_angle(q, p, SSP) == pytest.approx(math.atan(42.0 / 29650.0))
+        assert ray_travel_time(q, p, SSP) == pytest.approx(T_CANONICAL, rel=1e-12)
 
     def test_near_vertical_rejected(self):
         with pytest.raises(ZeroHorizontalRange):
-            ray_geometry(Position(50, 50, 50), Position(50 + 1e-13, 50, 0), SSP)
+            bearing(Position(50, 50, 50), Position(50 + 1e-13, 50, 0))
 
     @given(separated_pairs())
     def test_invariants(self, pair):
         q, p = pair
-        g = ray_geometry(q, p, SSP)
-        assert g.slant_range_r >= g.horizontal_range_d
-        assert 0.0 <= g.deviation_alpha < math.pi / 2
-        assert -math.pi / 2 < g.elevation_theta < math.pi / 2
-        assert abs(g.elevation_theta + g.deviation_alpha) < math.pi / 2
-        assert abs(g.elevation_theta - g.deviation_alpha) < math.pi / 2
-        if g.slant_range_r > 0:
-            assert g.travel_time_t > 0
+        d = horizontal_range(q, p)
+        theta = elevation_angle(q, p)
+        alpha = deviation_angle(q, p, SSP)
+        assert math.hypot(d, q.z - p.z) >= d
+        assert 0.0 <= alpha < math.pi / 2
+        assert -math.pi / 2 < theta < math.pi / 2
+        assert abs(theta + alpha) < math.pi / 2
+        assert abs(theta - alpha) < math.pi / 2
+        assert ray_travel_time(q, p, SSP) > 0
 
 
 class TestArcLength:

@@ -110,6 +110,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweep(SweepSpec(axis=Axis.DELTA_METERS, values=(0.0, 50.0), base=small_scenario()))
 
+    def test_fractional_anchor_count_rejected(self):
+        spec = SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.5, 5.0), base=small_scenario(trials=5))
+        with pytest.raises(ValueError, match="whole number"):
+            sweep(spec)
+        whole = replace(spec, values=(4.0, 5.0))
+        assert [r.n_anchors for r in sweep(whole).rows] == [4, 5]
+
 
 class TestRunScenario:
     def test_deterministic_for_fixed_seed(self):
