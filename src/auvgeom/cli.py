@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -403,7 +404,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="auvgeom",
         description="CRLB evaluation, radius-scale optimization, and Monte-Carlo "
@@ -439,8 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.figure is not None and args.command != "simulate":
         print("--figure applies to the simulate command", file=sys.stderr)
         return 2

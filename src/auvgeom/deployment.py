@@ -10,7 +10,13 @@ trace of the CRLB collapses to a univariate function of the scale k:
 
 with both terms exactly proportional to 1/N.  ``optimize_k`` minimizes
 this by plain gradient descent with a finite-difference gradient and
-backtracking on the step; ``grid_search_k`` is its independent oracle.
+backtracking on the step, one scalar ``k_objective`` call per trial
+point; ``grid_search_k`` is its independent oracle.  The grid is
+evaluated in one numpy pass: slant range (or arc length) for every k,
+then the variances, then the same closed form the scalar objective
+uses.  Its values match the scalar objective's to a few ulp (numpy
+squares where Python calls pow), and the grid refuses to return an
+argmin when any value is not finite and positive.
 Cube and random baselines used in the accuracy comparisons live here
 too.
 
@@ -35,7 +41,7 @@ from .errors import (
     TooFewAnchors,
     UnsupportedCount,
 )
-from .fisher import KIND_CONSTANT, NoiseModel, noise_variance
+from .fisher import KIND_CONSTANT, NoiseModel, _variance_at, noise_variance
 from .geometry import Position, SoundSpeedProfile
 
 # Cube/random-box defaults relative to the AUV depth (see module docstring).
@@ -110,6 +116,11 @@ def usc_trace_crlb_closed_form(
         raise ValueError("k, z, sigma2 must be positive")
     if n < 4:
         raise TooFewAnchors(f"USC needs at least 4 anchors, got {n}")
+    return _usc_trace(k, z, n, ssp, sigma2)
+
+
+def _usc_trace(k, z: float, n: int, ssp: SoundSpeedProfile, sigma2):
+    # the closed form without checks; k and sigma2 are floats or arrays
     a = ssp.steepness_a
     big_z = 2.0 * ssp.surface_speed_b / a + z
     common = a ** 2 * sigma2 * (1.0 + k ** 2) * (k ** 2 * z ** 2 + big_z ** 2) / n
@@ -141,6 +152,29 @@ def k_objective(
     return usc_trace_crlb_closed_form(k, z, n, ssp, _usc_sigma2(k, z, ssp, noise))
 
 
+def _k_objective_grid(
+    k: np.ndarray, z: float, n: int, ssp: SoundSpeedProfile, noise: NoiseModel
+) -> np.ndarray:
+    """k_objective at every scale in k, in one numpy pass and unchecked.
+
+    Mirrors _usc_sigma2 and the closed form step by step; overflow gives
+    inf or NaN, not a warning.
+    """
+    with np.errstate(all="ignore"):
+        r = z * np.sqrt(1.0 + k * k)
+        if noise.use_arc_length:
+            alpha = np.arctan2(k * z, 2.0 * ssp.surface_speed_b / ssp.steepness_a + z)
+            r = np.where(alpha > 1e-9, r * alpha / np.sin(alpha), r)
+        return _usc_trace(k, z, n, ssp, _variance_at(noise, r))
+
+
+def _objective_error(k: float, value: float) -> ValueError:
+    return ValueError(f"objective tr(CRLB)(k) is {value!r} at k={k!r}, not finite and positive")
+
+
+# overflow is silenced once per search: an errstate inside every
+# objective evaluation made the search about 50% slower
+@np.errstate(over="ignore")
 def optimize_k(
     z: float,
     n: int,
@@ -155,11 +189,15 @@ def optimize_k(
     would increase or the iterate would leave k > 0.  Stops when the
     normalized-gradient magnitude drops to precision_eps; returns
     converged=False when the iteration budget runs out first.  Raises
-    NonPositiveK only if no halving keeps the iterate positive.
+    ValueError when the objective at initial_k is not finite and
+    positive, and NonPositiveK only if no halving keeps the iterate
+    positive.
     """
     cfg = config or OptimizerConfig()
     k = cfg.initial_k
     f0 = k_objective(k, z, n, ssp, noise)
+    if not (math.isfinite(f0) and f0 > 0):
+        raise _objective_error(k, f0)
     f_k = 1.0
 
     def g(kk: float) -> float:
@@ -201,13 +239,25 @@ def grid_search_k(
     k_max: float = 3.0,
     steps: int = 2000,
 ) -> float:
-    """Argmin of the radius-scale objective over a uniform grid."""
+    """Argmin of the radius-scale objective over a uniform grid.
+
+    Raises ValueError, naming the first k, when the objective there is
+    not finite and positive.
+    """
     if not 0 < k_min < k_max:
         raise ValueError("need 0 < k_min < k_max")
     if steps < 100:
         raise ValueError("need at least 100 grid steps")
+    if not z > 0:
+        raise ValueError("z must be positive")
+    if n < 4:
+        raise TooFewAnchors(f"USC needs at least 4 anchors, got {n}")
     grid = np.linspace(k_min, k_max, steps + 1)
-    values = [k_objective(float(k), z, n, ssp, noise) for k in grid]
+    values = _k_objective_grid(grid, z, n, ssp, noise)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise _objective_error(float(grid[i]), float(values[i]))
     return float(grid[int(np.argmin(values))])
 
 

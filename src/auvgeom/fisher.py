@@ -127,19 +127,19 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
     """
     b = ssp.surface_speed_b
     a = ssp.steepness_a
-    dx = q_xyz[..., None, 0] - p_xyz[..., 0]
-    dy = q_xyz[..., None, 1] - p_xyz[..., 1]
-    zq = q_xyz[..., None, 2]
-    zp = p_xyz[..., 2]
-    d = np.hypot(dx, dy)
-    dz = zq - zp
-    r = np.hypot(d, dz)
-    axial = 2.0 * b / a + zq + zp
-    theta = np.arctan2(dz, d)
-    alpha = np.arctan2(d, axial)
-    hi = theta + alpha
-    lo = theta - alpha
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        dx = q_xyz[..., None, 0] - p_xyz[..., 0]
+        dy = q_xyz[..., None, 1] - p_xyz[..., 1]
+        zq = q_xyz[..., None, 2]
+        zp = p_xyz[..., 2]
+        d = np.hypot(dx, dy)
+        dz = zq - zp
+        r = np.hypot(d, dz)
+        axial = 2.0 * b / a + zq + zp
+        theta = np.arctan2(dz, d)
+        alpha = np.arctan2(d, axial)
+        hi = theta + alpha
+        lo = theta - alpha
         cos_hi = np.cos(hi)
         cos_lo = np.cos(lo)
         denom = np.cos(theta) ** 2 - np.sin(alpha) ** 2
@@ -165,7 +165,8 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
 
 
 def _variance_at(noise: NoiseModel, distance_l):
-    # sigma^2 in s^2 at distance_l in meters, elementwise
+    # sigma^2 in s^2 at distance_l in meters, elementwise; inf past the
+    # largest double, where callers silence numpy's overflow warning
     if noise.kind == KIND_CONSTANT:
         return np.full(np.shape(distance_l), noise.sigma ** 2)
     a_db = 10.0 * noise.beta * np.log10(distance_l / noise.l0) + (distance_l - noise.l0) * (
@@ -174,6 +175,7 @@ def _variance_at(noise: NoiseModel, distance_l):
     return np.power(10.0, (noise.ke_db + a_db) / 10.0)
 
 
+@np.errstate(over="ignore")
 def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise: NoiseModel):
     """Timing variances, q_xyz as (..., 3) against anchors p_xyz (..., N, 3).
 

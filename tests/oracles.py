@@ -3,13 +3,16 @@
 They rebuild the travel-time Jacobian and the Fisher matrix from the
 per-pair angles of ``auvgeom.geometry`` one anchor at a time, sharing no
 code with the batched kernel ``fisher._time_and_rows``, the shared
-variance function ``fisher._sigma2`` or ``fim``.
+variance function ``fisher._sigma2`` or ``fim``.  The radius-scale grid
+is evaluated point by point through the scalar ``k_objective``, against
+the one-pass ``deployment.grid_search_k``.
 """
 
 import math
 
 import numpy as np
 
+from auvgeom.deployment import k_objective
 from auvgeom.fisher import noise_variance
 from auvgeom.geometry import (
     arc_length,
@@ -91,3 +94,20 @@ def angle_sum_fim(q, anchors, ssp, noise):
         for k in range(3):
             psi[j, k] = 4.0 / ssp.steepness_a ** 2 * np.sum(w * u[j] * u[k])
     return psi
+
+
+def reference_grid_values(z, n, ssp, noise, k_min=0.1, k_max=3.0, steps=2000):
+    """(grid, values): the scalar objective at every grid point, in a loop."""
+    grid = np.linspace(k_min, k_max, steps + 1)
+    with np.errstate(over="ignore"):  # the noise variance may overflow to inf
+        values = [k_objective(float(k), z, n, ssp, noise) for k in grid]
+    return grid, np.array(values)
+
+
+def reference_grid_search_k(z, n, ssp, noise, k_min=0.1, k_max=3.0, steps=2000):
+    """grid_search_k as a loop over k_objective, refusing a grid that holds
+    a value that is not finite and positive."""
+    grid, values = reference_grid_values(z, n, ssp, noise, k_min, k_max, steps)
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError("objective not finite and positive on the grid")
+    return float(grid[int(np.argmin(values))])

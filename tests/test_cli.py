@@ -4,12 +4,18 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
+import warnings
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import auvgeom
+from auvgeom import cli
 from auvgeom.cli import main
 from auvgeom.harness import CSV_HEADER, load_csv
 
@@ -139,6 +145,22 @@ class TestOptimizeK:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("grid", [(), ("--grid",)])
+    def test_non_finite_objective_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "--set", "noise.ke_db=1e308", "optimize-k", *grid)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: objective tr(CRLB)(k) is inf at k=1.0, not finite and positive"]
+
+    def test_parser_reuse_keeps_no_state(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run(capsys, "optimize-k")
+        cli._build_parser.cache_clear()
+        run(capsys, "--seed", "3", "--set", "deployment.n=4", "optimize-k", "--grid")
+        assert run(capsys, "optimize-k") == first
+        args = cli._build_parser().parse_args(["optimize-k"])
+        assert (args.seed, args.set, args.grid) == (None, None, False)
+
     def test_sweep_artifacts(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "--out", str(tmp_path), "--plot",
@@ -251,6 +273,22 @@ class TestSimulate:
         assert config == {"figure": "3", "master_seed": 4, "trials": 7, "workers": 1}
 
 
+def test_overflowing_noise_writes_one_stderr_line():
+    # a separate interpreter, so numpy warnings reach stderr as they would
+    # for a user rather than pytest's warning capture
+    src = str(pathlib.Path(auvgeom.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env.pop("AUVGEOM_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "auvgeom.cli", "--set", "noise.ke_db=1e308", "crlb"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: objective")
+
+
 # numeric config leaves the fuzz test assigns finite doubles to
 FLOAT_LEAVES = (
     "ssp.surface_speed_b",
@@ -303,7 +341,10 @@ def test_any_finite_config_exits_cleanly(assignments, command):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
         os.environ.pop("AUVGEOM_OUT", None)  # no output files
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])

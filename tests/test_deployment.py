@@ -31,6 +31,8 @@ from auvgeom.fisher import NoiseModel, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import Cube, Random, Scenario, Usc, _fixed_layout
 
+from oracles import reference_grid_search_k, reference_grid_values
+
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
 
 def scene(auv, deployment):
@@ -220,6 +222,11 @@ class TestOptimizeK:
         with pytest.raises(ValueError):
             OptimizerConfig(fd_step_h=0.0)
 
+    def test_non_finite_start_raises(self):
+        # 10^(ke_db/10) overflows, so the objective is inf at initial_k
+        with pytest.raises(ValueError, match=r"objective .* is inf at k=1\.0"):
+            optimize_k(50.0, 8, SSP, NoiseModel.distance_dependent(ke_db=1e308))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             grid_search_k(50.0, 4, SSP, DD_NOISE, 2.0, 1.0)
@@ -232,6 +239,60 @@ class TestOptimizeK:
         k_arc = optimize_k(50.0, 4, SSP, bent).k_star
         assert k_slant != k_arc
         assert abs(k_slant - k_arc) < 5e-3
+
+
+class TestGridSearchK:
+    """The one-pass grid against the scalar objective evaluated in a loop."""
+
+    @staticmethod
+    def scenes(count, seed=5):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            z = float(rng.uniform(20.0, 200.0))
+            n = int(rng.integers(4, 9))
+            if i % 3 == 2:
+                noise = NoiseModel.constant_variance(float(rng.uniform(1e-4, 1e-2)))
+            else:
+                noise = NoiseModel.distance_dependent(use_arc_length=bool(i % 3))
+            yield z, n, noise
+
+    def test_matches_scalar_loop(self):
+        for z, n, noise in self.scenes(300):
+            grid, want = reference_grid_values(z, n, SSP, noise)
+            got = deployment._k_objective_grid(grid, z, n, SSP, noise)
+            ulps = np.abs(got - want) / np.spacing(want)
+            # numpy's arctan2 and math.atan2 differ by 1 ulp at a few points;
+            # that can flip the last bit of the variance's exponent, which
+            # 10^x amplifies to about 10 ulp (2 ulp with math.atan2 in both)
+            assert ulps.max() <= (16 if noise.use_arc_length else 4), (z, n, noise, ulps.max())
+            assert grid_search_k(z, n, SSP, noise) == grid[np.argmin(want)], (z, n, noise)
+
+    @pytest.mark.parametrize(
+        "ssp, noise",
+        [
+            # the CLI fuzz test's extreme @example values as optimize-k --grid
+            # scenes, then a noise floor whose variance overflows
+            (SoundSpeedProfile(1480.0, 5e-324), DD_NOISE),
+            (SSP, NoiseModel.distance_dependent(ke_db=-2.2e163)),
+            (SoundSpeedProfile(1480.0, 1e30), DD_NOISE),
+            (SSP, NoiseModel.constant_variance(1e305)),
+            (SoundSpeedProfile(1480.0, 4e257), DD_NOISE),
+            (SSP, NoiseModel.distance_dependent(ke_db=1e308)),
+        ],
+    )
+    def test_extreme_inputs_agree_with_loop(self, ssp, noise):
+        outcomes = []
+        for search in (reference_grid_search_k, grid_search_k):
+            try:
+                outcomes.append(search(50.0, 8, ssp, noise))
+            except (ValueError, ArithmeticError) as e:  # exit 2 in the CLI
+                outcomes.append(type(e))
+        ref, got = outcomes
+        assert got == ref or (isinstance(ref, type) and isinstance(got, type)), outcomes
+
+    def test_never_returns_argmin_of_non_finite_values(self):
+        with pytest.raises(ValueError, match=r"objective .* is nan at k=0\.1"):
+            grid_search_k(50.0, 8, SoundSpeedProfile(1480.0, 5e-324), DD_NOISE)
 
 
 class TestCubePositions:
