@@ -96,10 +96,16 @@ def usc_positions(auv: Position, n: int, k: float) -> list[Position]:
     if not auv.z > 0:
         raise ValueError("AUV must be submerged (z > 0)")
     d = k * auv.z
-    out = []
-    for i in range(1, n + 1):
-        ang = 2.0 * math.pi * i / n
-        out.append(Position(auv.x + d * math.cos(ang), auv.y + d * math.sin(ang), 0.0))
+    angles = [2.0 * math.pi * i / n for i in range(1, n + 1)]
+    return [Position(auv.x + d * math.cos(a), auv.y + d * math.sin(a), 0.0) for a in angles]
+
+
+def _usc_circles(centers: np.ndarray, n: int, k: float) -> np.ndarray:
+    # usc_positions above each row of centers (m, 3), unchecked, as (m, n, 3):
+    # the same arithmetic on its unit circle, so equal centers give equal bits
+    unit = np.array([(p.x, p.y) for p in usc_positions(Position(0.0, 0.0, 1.0), n, 1.0)])
+    out = np.zeros((len(centers), n, 3))
+    out[..., :2] = centers[:, None, :2] + (k * centers[:, 2])[:, None, None] * unit
     return out
 
 
@@ -313,40 +319,48 @@ def default_box_for(auv: Position) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _degenerate(points: np.ndarray) -> bool:
-    # coincident pair, or all anchors on one vertical plane (horizontally
-    # collinear): such layouts are Fisher-singular for AUVs in that plane
-    diff = points[:, None, :] - points
-    dist2 = (diff * diff).sum(axis=-1)
-    np.fill_diagonal(dist2, np.inf)
-    if dist2.min() < 1e-18:
-        return True
-    xy = points[:, :2] - points[:, :2].mean(axis=0)
+def _degenerate(points: np.ndarray) -> np.ndarray:
+    # per layout (..., n, 3): a coincident pair, or all anchors on one vertical
+    # plane (horizontally collinear), Fisher-singular for AUVs in that plane
+    n = points.shape[-2]
+    diff = points[..., :, None, :] - points[..., None, :, :]
+    dist2 = (diff * diff).sum(axis=-1).reshape(*points.shape[:-2], n * n)
+    dist2[..., :: n + 1] = np.inf  # the diagonal
+    xy = points[..., :2] - points[..., :2].mean(axis=-2, keepdims=True)
     s = np.linalg.svd(xy, compute_uv=False)
-    return s[-1] < 1e-9 * (1.0 + s[0])
+    return (dist2.min(axis=-1) < 1e-18) | (s[..., -1] < 1e-9 * (1.0 + s[..., 0]))
 
 
-def random_positions(
-    box: tuple[tuple[float, float], ...], n: int, seed: int | np.random.Generator
-) -> list[Position]:
-    """n anchors drawn i.i.d. uniform from an axis-aligned box.
+def random_layouts(
+    box: tuple[tuple[float, float], ...], n: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """size layouts (size, n, 3) of n anchors drawn i.i.d. uniform from a box.
 
-    box is ((xmin, xmax), (ymin, ymax), (zmin, zmax)) with zmin >= 0.
-    Degenerate draws (a coincident pair, or all anchors in one vertical
-    plane) are rejected and redrawn up to 100 times, after which
-    DegenerateAfterRetries is raised.  ``seed`` may be a Generator so a
-    harness can draw from a stream it controls.
+    box is ((xmin, xmax), (ymin, ymax), (zmin, zmax)) with zmin >= 0.  A
+    round draws every x, then every y, then every z.  Degenerate layouts
+    (a coincident pair, or all anchors in one vertical plane) are redrawn
+    from rng for up to 100 rounds, then DegenerateAfterRetries is raised.
     """
     if n < 4:
         raise TooFewAnchors(f"need at least 4 anchors, got {n}")
     (x0, x1), (y0, y1), (z0, z1) = box
     if not (x0 <= x1 and y0 <= y1 and 0.0 <= z0 <= z1):
         raise ValueError("box must have ordered bounds and depths >= 0")
-    rng = np.random.default_rng(seed)
+    out = np.empty((size, n, 3))
+    todo = np.arange(size)
     for _ in range(100):
-        pts = np.column_stack(
-            [rng.uniform(x0, x1, n), rng.uniform(y0, y1, n), rng.uniform(z0, z1, n)]
-        )
-        if not _degenerate(pts):
-            return [Position(*row) for row in pts]
-    raise DegenerateAfterRetries("100 consecutive degenerate random layouts")
+        out[todo] = np.stack([rng.uniform(lo, hi, (len(todo), n)) for lo, hi in box], axis=-1)
+        step = max(1, 2**16 // (n * n))  # layouts per check: its arrays stay near 1.5 MB
+        bad = [_degenerate(out[todo[i:i + step]]) for i in range(0, len(todo), step)]
+        todo = todo[np.concatenate(bad)]
+        if not todo.size:
+            return out
+    raise DegenerateAfterRetries(f"{todo.size} random layouts still degenerate after 100 draws")
+
+
+def random_positions(
+    box: tuple[tuple[float, float], ...], n: int, seed: int | np.random.Generator
+) -> list[Position]:
+    """One random_layouts layout as Positions; ``seed`` may be a Generator."""
+    pts = random_layouts(box, n, np.random.default_rng(seed), 1)[0]
+    return [Position(*row) for row in pts.tolist()]

@@ -121,9 +121,8 @@ def simulate_measurements(
 ) -> MeasurementSample:
     """One noisy sample: per-anchor timing noise, then the depth reading.
 
-    The draw order (all timing deviates first, depth last) is part of the
-    reproducibility contract.  ``seed`` may be a Generator so a harness
-    can hand in a stream it controls.
+    Draws like one row of the harness's noise block, timing deviates
+    first and depth last; ``seed`` may be a Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q_xyz = np.asarray(q.as_array())
@@ -238,8 +237,10 @@ def _estimate_batch(
         qa = q[idx]
         sigma2 = _sigma2(qa, p_b[idx], ssp, noise)
         sigma = np.sqrt(sigma2)
-        design = rows_q[idx] / sigma[..., None]
-        resid = (rtt[idx] - t_q[idx]) / sigma
+        # an overflowed variance gives NaN residuals, screened out as singular
+        with np.errstate(invalid="ignore"):
+            design = rows_q[idx] / sigma[..., None]
+            resid = (rtt[idx] - t_q[idx]) / sigma
 
         # append the depth pseudo-measurement row
         depth_row = np.zeros((len(idx), 1, 3))

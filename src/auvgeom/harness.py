@@ -6,10 +6,12 @@ model, and a trial budget under a master seed.  Sweeps vary one axis
 over a list of values for one or more named schemes and produce a flat
 result table that exports to CSV and SVG.
 
-Reproducibility contract: every trial derives its own generator from
-SeedSequence([master_seed, trial_index, movement_seed]) split into
-(movement, deployment, noise) streams, so results are independent of
-worker count and trial execution order, and byte-identical across runs.
+Reproducibility contract 2: a cell (one scheme at one axis value) runs
+whole in one worker and draws its movement, deployment and noise streams,
+children of SeedSequence([master_seed, movement_seed]), once each as a
+block with a row per trial.  Results are byte-identical for any worker
+count without per-trial generators, and trial t of every scheme sees the
+same deviates.  Contract 1 seeded each trial on its own.
 Rows from Monte-Carlo runs report the depth-augmented CRLB trace
 averaged over the per-trial geometry, matching what the estimator (which
 also uses the depth sensor) can attain.  Radius-scale sweep rows skip
@@ -27,11 +29,13 @@ import numpy as np
 
 from . import _svg
 from .deployment import (
+    _usc_circles,
     cube_positions,
     default_box_for,
     default_cube_for,
     k_objective,
     optimize_k,
+    random_layouts,
     random_positions,
     usc_positions,
 )
@@ -188,15 +192,11 @@ class ResultTable:
 
 
 CSV_HEADER = "axis_name,axis_value,scheme,n_anchors,k,rmse_m,trace_crlb_m2,diverged,trials,seed"
+CSV_CONTRACT = "# contract 2"  # seeding contract of the rows; files without it are 1
 
 
 # ---------------------------------------------------------------------------
 # scenario execution
-
-
-def _unit_direction(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def _resolve_k(dep: Usc, s: Scenario) -> float:
@@ -243,74 +243,57 @@ def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray, depth_weight: float) 
     return float(np.nanmean(traces))
 
 
-# per-trial streams: children of SeedSequence([master_seed, trial, movement_seed])
 _MOVE_STREAM, _DEPLOY_STREAM, _NOISE_STREAM = range(3)
 
 
-def _trial_rng(s: Scenario, trial: int, move_seed: int, stream: int) -> np.random.Generator:
-    # the same generator as SeedSequence(...).spawn(3)[stream], built
-    # directly so that a trial pays only for the streams it draws from
-    return np.random.default_rng(
-        np.random.SeedSequence([s.master_seed, trial, move_seed], spawn_key=(stream,))
-    )
+def _cell_rng(s: Scenario, stream: int) -> np.random.Generator:
+    # the same generator as SeedSequence(...).spawn(3)[stream]
+    seed = [s.master_seed, getattr(s.movement, "seed", 0)]
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
     """One Monte-Carlo execution: (rmse, trace, diverged, k_used, n).
 
-    The per-trial loop only draws: the moved AUV or the trial's anchors,
-    then the unit timing deviates and the depth deviate.  Travel times,
-    noise levels and the bound come from one batched kernel call.
+    Each stream is drawn once, as one block over the cell's trials: unit
+    movement directions, random layouts, then the timing deviates with
+    the depth deviate in the last column.  Travel times, noise levels
+    and the bound come from one batched kernel call.
     """
     anchors0, k_used, n = _fixed_layout(s)
     move = s.movement
-    moving = isinstance(move, (RmUsc, RsUsc))
-    move_seed = getattr(move, "seed", 0)
-    delta = getattr(move, "delta_meters", 0.0)
-    auv0 = s.auv_truth.as_array()
-
-    truth = np.tile(auv0, (s.trials, 1))
-    anchor_stack = np.empty((s.trials, n, 3))
-    if anchors0 is not None:
+    truth = np.tile(s.auv_truth.as_array(), (s.trials, 1))
+    if isinstance(move, (RmUsc, RsUsc)):
+        v = _cell_rng(s, _MOVE_STREAM).standard_normal((s.trials, 3))
+        truth += move.delta_meters * (v / np.linalg.norm(v, axis=1, keepdims=True))
+        truth[:, 2] = np.maximum(truth[:, 2], 1.0)
+    if anchors0 is None:
+        box = s.deployment.box if s.deployment.box is not None else default_box_for(s.auv_truth)
+        anchor_stack = random_layouts(box, n, _cell_rng(s, _DEPLOY_STREAM), s.trials)
+    else:
         # fail fast on layouts that cannot localize at all
         fim(s.auv_truth, anchors0, s.ssp, s.noise)
-        anchor_stack[:] = [p.as_array() for p in anchors0]
-    else:
-        box = s.deployment.box if s.deployment.box is not None else default_box_for(s.auv_truth)
+        if isinstance(move, RsUsc):
+            anchor_stack = _usc_circles(truth, n, k_used)
+        else:
+            anchor_stack = np.broadcast_to([p.as_array() for p in anchors0], (s.trials, n, 3))
 
-    unit_dev = np.empty((s.trials, n))
-    depth_dev = np.empty(s.trials)
-    for t in range(s.trials):
-        if moving:
-            q = auv0 + delta * _unit_direction(_trial_rng(s, t, move_seed, _MOVE_STREAM))
-            q[2] = max(q[2], 1.0)
-            truth[t] = q
-            if isinstance(move, RsUsc):
-                anchor_stack[t] = [p.as_array() for p in usc_positions(Position(*q), n, k_used)]
-        elif anchors0 is None:
-            dep_rng = _trial_rng(s, t, move_seed, _DEPLOY_STREAM)
-            anchor_stack[t] = [p.as_array() for p in random_positions(box, n, dep_rng)]
-        noise_rng = _trial_rng(s, t, move_seed, _NOISE_STREAM)
-        unit_dev[t] = noise_rng.normal(0.0, 1.0, n)
-        depth_dev[t] = noise_rng.normal(0.0, math.sqrt(DEPTH_NOISE_VAR))
-
+    dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     t_true, rows = _time_and_rows(truth, anchor_stack, s.ssp)
     sigma2 = _sigma2(truth, anchor_stack, s.ssp, s.noise)
-    rtt = t_true + unit_dev * np.sqrt(sigma2)
-    depth_meas = truth[:, 2] + depth_dev
+    rtt = t_true + dev[:, :n] * np.sqrt(sigma2)
+    depth_meas = truth[:, 2] + dev[:, n] * math.sqrt(DEPTH_NOISE_VAR)
 
     config = EstimatorConfig()
     q_hat, _, converged, _ = estimate_trials(
         rtt, depth_meas, anchor_stack, s.ssp, s.noise, config
     )
-    diverged = int((~converged).sum())
-    if converged.any():
-        err2 = np.sum((q_hat[converged] - truth[converged]) ** 2, axis=1)
-        rmse_val = float(np.sqrt(err2.mean()))
-    else:
+    if not converged.any():
         raise NoConvergedTrials(f"all {s.trials} trials failed to converge")
+    err2 = np.sum((q_hat[converged] - truth[converged]) ** 2, axis=1)
+    rmse_val = float(np.sqrt(err2.mean()))
     trace = _augmented_trace(rows, sigma2, config.depth_weight)
-    return rmse_val, trace, diverged, k_used, n
+    return rmse_val, trace, int((~converged).sum()), k_used, n
 
 
 def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> Row:
@@ -387,7 +370,8 @@ def _sweep_one(spec: SweepSpec, scheme: str, variant: Variant, value: float) -> 
     row = _blank_row(s, spec.axis.value, value, scheme)
     if spec.axis is Axis.SCALE_K:
         # analytic rows: no Monte-Carlo, timing-only closed form
-        trace = k_objective(value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
+        with np.errstate(over="ignore"):
+            trace = k_objective(value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
         return replace(row, k=value, trace_crlb_m2=trace, trials=0)
     try:
         return _mc_row(row, s)
@@ -400,7 +384,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
 
     Failed cells become annotated rows instead of aborting the table.
     Results are identical for any worker count: tasks are indexed and
-    collected in a fixed order, and all randomness is per-trial seeded.
+    collected in a fixed order, and all randomness is seeded per cell.
     """
     schemes = spec.schemes or {_scheme_label(spec.base.deployment, spec.base.movement): Variant()}
     tasks = [
@@ -445,7 +429,7 @@ def _row_line(r: Row) -> str:
 def csv_text(table: ResultTable, comments: tuple[str, ...] = ()) -> str:
     """Render the table to CSV, with '#' metadata and divergence flags."""
     lines = [f"# {c}" for c in comments]
-    lines.append(CSV_HEADER)
+    lines += [CSV_CONTRACT, CSV_HEADER]
     for r in table.rows:
         if r.note:
             lines.append(f"# note: {r.scheme}@{_csv_num(r.axis_value)} {r.note}")
@@ -467,7 +451,7 @@ def export_csv(table: ResultTable, path: str, comments: tuple[str, ...] = ()) ->
 
 
 def load_csv(path: str) -> ResultTable:
-    """Parse a CSV written by export_csv; '#' lines are skipped."""
+    """Parse a CSV written by export_csv under any contract; '#' lines are skipped."""
     rows = []
     try:
         with open(path, encoding="utf-8") as f:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import auvgeom
 from auvgeom import cli
 from auvgeom.cli import main
-from auvgeom.harness import CSV_HEADER, load_csv
+from auvgeom.harness import CSV_CONTRACT, CSV_HEADER, load_csv
 
 
 def run(capsys, *argv):
@@ -189,7 +189,7 @@ class TestSimulate:
         )
         assert code == 0
         lines = (tmp_path / "simulate.csv").read_text().splitlines()
-        assert lines[2] == CSV_HEADER
+        assert lines[2:4] == [CSV_CONTRACT, CSV_HEADER]
         table = load_csv(str(tmp_path / "simulate.csv"))
         assert len(table.rows) == 1
         assert table.rows[0].axis_name == "single"
@@ -287,6 +287,22 @@ def test_overflowing_noise_writes_one_stderr_line():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: objective")
+
+
+def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path):
+    # the estimator whitens by an infinite sigma: no numpy warning may leak
+    argv = ["--set", "noise.ke_db=1e308", "--set", "deployment.kind=random",
+            "--set", "trials=5", "--out", str(tmp_path), "simulate"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code == 3
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert err.getvalue().startswith("error: NoConvergedTrials: ")
+    assert "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 # numeric config leaves the fuzz test assigns finite doubles to

@@ -17,6 +17,7 @@ from auvgeom.deployment import (
     grid_search_k,
     k_objective,
     optimize_k,
+    random_layouts,
     random_positions,
     usc_positions,
     usc_trace_crlb_closed_form,
@@ -371,6 +372,43 @@ class TestRandomPositions:
         flat = ((0.0, 100.0), (5.0, 5.0), (0.0, 50.0))
         with pytest.raises(DegenerateAfterRetries):
             random_positions(flat, 4, 0)
+        with pytest.raises(DegenerateAfterRetries, match="^50 random layouts"):
+            random_layouts(flat, 4, np.random.default_rng(0), 50)
+
+    def test_single_layout_matches_positions_and_draw_order(self):
+        # random_positions is random_layouts at size 1, bit for bit, and
+        # keeps drawing every x, then every y, then every z per attempt
+        thin = ((0.0, 100.0), (5.0, 5.0 + 1e-7), (0.0, 50.0))
+        redraws = 0
+        for box in (self.BOX, thin):
+            for seed in range(40):
+                layout = random_layouts(box, 6, np.random.default_rng(seed), 1)
+                assert layout.shape == (1, 6, 3)
+                positions = random_positions(box, 6, seed)
+                assert layout[0].tolist() == [[p.x, p.y, p.z] for p in positions]
+                (x0, x1), (y0, y1), (z0, z1) = box
+                rng = np.random.default_rng(seed)
+                while True:
+                    pts = np.column_stack(
+                        [rng.uniform(x0, x1, 6), rng.uniform(y0, y1, 6), rng.uniform(z0, z1, 6)]
+                    )
+                    if not deployment._degenerate(pts):
+                        break
+                    redraws += 1
+                assert np.array_equal(pts, layout[0])
+        assert redraws > 0
+
+    def test_batch_redraws_only_flagged_layouts(self):
+        thin = ((0.0, 100.0), (5.0, 5.0 + 1e-7), (0.0, 50.0))
+        layouts = random_layouts(thin, 5, np.random.default_rng(3), 400)
+        assert layouts.shape == (400, 5, 3)
+        assert not deployment._degenerate(layouts).any()
+        # the first round's good layouts are kept as drawn
+        rng = np.random.default_rng(3)
+        first = np.stack([rng.uniform(lo, hi, (400, 5)) for lo, hi in thin], axis=-1)
+        kept = ~deployment._degenerate(first)
+        assert 0 < kept.sum() < 400
+        assert np.array_equal(layouts[kept], first[kept])
 
     def test_thin_but_finite_box_succeeds(self):
         thin = ((0.0, 100.0), (4.9, 5.1), (0.0, 50.0))
@@ -398,9 +436,16 @@ class TestRandomPositions:
             offset *= rng.choice([0.0, 1e-12, 5e-10, 2e-9, 1e-6, 1.0]) / np.linalg.norm(offset)
             points[j] = points[i] + offset
             layouts.append(points)
-        decisions = [deployment._degenerate(p) for p in layouts]
+        decisions = [bool(deployment._degenerate(p)) for p in layouts]
         assert decisions == [self.coincident_reference(p) for p in layouts]
         assert any(decisions) and not all(decisions)
+        # the batched check, one stack per anchor count, decides the same
+        batched = [None] * len(layouts)
+        for n in {len(p) for p in layouts}:
+            idx = [i for i, p in enumerate(layouts) if len(p) == n]
+            for i, d in zip(idx, deployment._degenerate(np.stack([layouts[i] for i in idx]))):
+                batched[i] = bool(d)
+        assert batched == decisions
 
 
 class TestDefaults:

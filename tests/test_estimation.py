@@ -500,9 +500,9 @@ class TestBatchMatchesReference:
         return int(at_cap.sum()), int(stalled.sum()), int(singular.sum())
 
     def test_fig4a_cube_and_random_cells(self):
-        # trial 675 of the cube n=4 cell rejects every step at seed 0
-        spec = harness.fig4a_spec(master_seed=0, trials=700)
-        cells = [(scheme, n) for scheme in ("cube", "random") for n in (4.0, 8.0)]
+        # trial 1507 of the cube n=7 cell rejects every step at seed 0
+        spec = harness.fig4a_spec(master_seed=0, trials=1600)
+        cells = [(scheme, n) for scheme in ("cube", "random") for n in (4.0, 8.0)] + [("cube", 7.0)]
         inputs = recorded_inputs(spec, cells)
         assert len(inputs) == len(cells)
         at_cap = stalled = 0

@@ -4,7 +4,10 @@ The files under tests/golden/ hold ``csv_text(sweep(...))`` at master
 seed 0: fig3 as it is, and fig4a, fig5 and fig6 at 50 trials.  A change
 to the ray kernel, the noise model, the estimator or the harness that
 moves a single byte of a seeded result fails here, at one and at two
-sweep workers.  The digests pin the recorded files themselves.
+sweep workers.  The digests pin the recorded files themselves.  The
+files are written under seeding contract 2 (their "# contract 2" line);
+a change that moves the bytes on purpose bumps that line, rewrites the
+files and updates the digests.
 """
 
 import difflib
@@ -25,10 +28,10 @@ SPECS = {
 }
 
 SHA256 = {
-    "fig3": "c1f6fdab85a4f51e07afa997960a09fc8bb42ce219280140d9d6b9f0d26723a8",
-    "fig4a": "b45eae9c78b715553afaa3db138858bdc9ceb93906b980ccadb608694ab98349",
-    "fig5": "b15683bf7f6b4e7eaea785d48b6088c2286e0f0b1be32b412ea4baf71c905af5",
-    "fig6": "783ec0bbb65513e8ec7062b5f4921b487c5a591273aed67f15444ef040a93320",
+    "fig3": "47a837cc574f20de66393dd9cb478ce01a709c62026342ebd2b8c5c6e2d25b4a",
+    "fig4a": "e735234a9e3c4acdf741310511b517378427d7447d4feceda9b7db3fa60cb061",
+    "fig5": "07d93afb56f79065acbd04ee4a4784537f9b5acaeea2ce81718c56deca7b6330",
+    "fig6": "4e37c583fe3cb9250e47a12e3399506b4af9dca9a459fbebdd960b9e91d6a76f",
 }
 
 

@@ -8,18 +8,20 @@ by the acceptance suite.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from auvgeom.deployment import default_box_for, random_positions
+from auvgeom.deployment import default_box_for, random_layouts
 from auvgeom.errors import EmptyTable, SingularFim
-from auvgeom.estimation import estimate_trials, simulate_measurements
-from auvgeom.fisher import NoiseModel
+from auvgeom.estimation import estimate_trials
+from auvgeom.fisher import NoiseModel, _sigma2, _time_and_rows
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import (
     Axis,
+    CSV_CONTRACT,
     CSV_HEADER,
     Cube,
     FIGURE_SPECS,
@@ -157,23 +159,24 @@ class TestRunScenario:
         redrawn = run_scenario(small_scenario(deployment=Random(seed=None)))
         assert frozen.rmse_m != redrawn.rmse_m
 
-    def test_trials_match_per_trial_simulation(self):
-        # the reproducibility contract spelled out trial by trial: anchors
-        # from the deployment stream, measurements from the noise stream
+    def test_cell_matches_stream_rebuild(self):
+        # the reproducibility contract spelled out for one cell: layouts
+        # from the deployment stream, then one block of timing deviates
+        # with the depth deviate last from the noise stream
         s = replace(
             small_scenario(trials=30, seed=5, deployment=Random(seed=None)),
             noise=NoiseModel.distance_dependent(),
         )
-        box = default_box_for(AUV)
-        samples, stack = [], []
-        for t in range(s.trials):
-            _, dep, noise = np.random.SeedSequence([s.master_seed, t, 0]).spawn(3)
-            anchors = random_positions(box, 8, np.random.default_rng(dep))
-            samples.append(simulate_measurements(AUV, anchors, SSP, s.noise, np.random.default_rng(noise)))
-            stack.append([p.as_array() for p in anchors])
-        q_hat, _, converged, _ = estimate_trials(
-            [m.rtt for m in samples], [m.depth_meas for m in samples], stack, SSP, s.noise
+        dep, noise = (
+            np.random.default_rng(np.random.SeedSequence([s.master_seed, 0], spawn_key=(stream,)))
+            for stream in (1, 2)
         )
+        stack = random_layouts(default_box_for(AUV), 8, dep, s.trials)
+        dev = noise.standard_normal((s.trials, 9))
+        truth = np.tile(AUV.as_array(), (s.trials, 1))
+        t, _ = _time_and_rows(truth, stack, SSP)
+        rtt = t + dev[:, :8] * np.sqrt(_sigma2(truth, stack, SSP, s.noise))
+        q_hat, _, converged, _ = estimate_trials(rtt, AUV.z + dev[:, 8], stack, SSP, s.noise)
         err2 = np.sum((q_hat[converged] - AUV.as_array()) ** 2, axis=1)
         row = run_scenario(s)
         assert row.diverged == int((~converged).sum())
@@ -229,6 +232,15 @@ class TestSweep:
         assert r.scheme == "usc-n4" and r.axis_value == 0.5
         assert r.trace_crlb_m2 == k_objective(0.5, AUV.z, 4, SSP, NoiseModel.distance_dependent())
 
+    def test_overflowing_radius_rows_are_inf_without_warnings(self):
+        spec = fig3_spec()
+        spec = replace(spec, base=replace(spec.base, noise=NoiseModel.distance_dependent(ke_db=1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = sweep(spec)
+        assert len(table.rows) == 105
+        assert all(r.trace_crlb_m2 == math.inf for r in table.rows)
+
     def test_failed_cell_becomes_annotated_row(self):
         coplanar = tuple(Position(x, 50.0, 0.0) for x in (0.0, 40.0, 80.0, 120.0))
         base = small_scenario(trials=10)
@@ -260,7 +272,7 @@ class TestCsv:
         text = open(path).read()
         lines = text.splitlines()
         assert lines[0] == "# run A" and lines[1] == "# seed 7"
-        assert lines[2] == CSV_HEADER
+        assert lines[2:4] == [CSV_CONTRACT, CSV_HEADER]
         loaded = load_csv(path)
         assert loaded.rows == ROWS
 
@@ -270,6 +282,14 @@ class TestCsv:
         export_csv(ResultTable(rows=ROWS), path1)
         export_csv(load_csv(path1), path2)
         assert open(path1, "rb").read() == open(path2, "rb").read()
+
+    def test_reads_contract_1_file(self, tmp_path):
+        # files written before the contract line carry none
+        path = tmp_path / "v1.csv"
+        lines = csv_text(ResultTable(rows=ROWS), comments=("run A",)).splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if ln != CSV_CONTRACT + "\n"))
+        assert CSV_CONTRACT not in path.read_text()
+        assert load_csv(str(path)).rows == ROWS
 
     def test_rejects_foreign_header(self, tmp_path):
         path = str(tmp_path / "alien.csv")
@@ -289,7 +309,7 @@ class TestCsv:
         bad = Row("sigma_ms", 2.0, "bad", 4, float("nan"), float("nan"),
                   float("nan"), 0, 10, 0, note="SingularFim: boom")
         lines = csv_text(ResultTable(rows=(bad,))).splitlines()
-        assert lines[1] == "# note: bad@2.0 SingularFim: boom"
+        assert lines[:3] == [CSV_CONTRACT, CSV_HEADER, "# note: bad@2.0 SingularFim: boom"]
 
     def test_write_error_names_path(self, tmp_path):
         target = str(tmp_path / "no-such-dir" / "x.csv")
