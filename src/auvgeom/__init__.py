@@ -3,10 +3,9 @@
 The package splits into geometry (ray closed forms and their numerical
 oracle), fisher (jacobians, information matrix, noise models), deployment
 (the surface-circle layout, its closed-form objective and optimizer, and
-the cube/random baselines), estimation (measurement simulation and the
-weighted Gauss-Newton solver), and harness (seeded Monte-Carlo sweeps
-with CSV/SVG output).  The cli module wires them to the `auvgeom`
-command.
+the cube/random baselines), estimation (the batched Gauss-Newton solver
+with depth-sensor fusion), and harness (seeded Monte-Carlo sweeps with
+CSV/SVG output).  The cli module wires them to the `auvgeom` command.
 """
 
 from .errors import (
@@ -19,7 +18,6 @@ from .errors import (
     NoEigenray,
     NonPositiveK,
     SingularFim,
-    SingularNormalMatrix,
     TooFewAnchors,
     UnsupportedCount,
     VerticalRay,
@@ -60,17 +58,7 @@ from .deployment import (
     usc_positions,
     usc_trace_crlb_closed_form,
 )
-from .estimation import (
-    DepthAnchored,
-    EstimateResult,
-    EstimatorConfig,
-    FixedPoint,
-    MeasurementSample,
-    TruthPerturbed,
-    estimate_position,
-    rmse,
-    simulate_measurements,
-)
+from .estimation import EstimatorConfig, estimate_trials
 from .harness import (
     Axis,
     Cube,

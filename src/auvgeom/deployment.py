@@ -300,7 +300,7 @@ def cube_positions(center: Position, side: float, n: int) -> list[Position]:
 def default_cube_for(auv: Position) -> tuple[Position, float]:
     """Default comparison cube for a scene: (center, side).
 
-    Side equals the AUV depth; the center is offset along +x by 2.5
+    Side equals the AUV depth; the center is offset along +x by 2.1
     times the depth.
     """
     side = BASELINE_SIDE_DEPTH_RATIO * auv.z

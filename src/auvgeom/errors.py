@@ -68,9 +68,5 @@ class NoConvergedTrials(AuvgeomError):
     defined."""
 
 
-class SingularNormalMatrix(AuvgeomError):
-    """The 3x3 Gauss-Newton normal system is numerically singular."""
-
-
 class EmptyTable(AuvgeomError):
     """Plot emission requested for a result table with no rows."""

@@ -1,4 +1,4 @@
-"""Measurement simulation and Gauss-Newton position estimation.
+"""Batched Gauss-Newton position estimation.
 
 Measurements are one-way travel times under the bent-ray model plus a
 depth-sensor reading with 1 m^2 Gaussian noise.  The estimator runs
@@ -10,7 +10,9 @@ which for a static position is algebraically the iterated-EKF
 measurement update.  Timing weights are re-evaluated at the current
 iterate when the noise model is distance dependent.  The whole solver is
 vectorized over a batch of samples so Monte-Carlo sweeps pay one numpy
-pass instead of a Python loop per trial.
+pass instead of a Python loop per trial.  ``estimate_trials`` is its one
+entry point; it starts every sample at its anchors' horizontal centroid,
+at the depth the sensor read.
 
 Each iteration backtracks on the cost with the weights frozen: it tries
 the full step, then the halved steps 1/2 .. 1/2**14 in groups of 1, 2,
@@ -25,18 +27,13 @@ screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    NoConvergedTrials,
-    SingularNormalMatrix,
-    TooFewAnchors,
-)
+from .errors import TooFewAnchors
 from .fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows
-from .geometry import Position, SoundSpeedProfile
+from .geometry import SoundSpeedProfile
 
 DEPTH_NOISE_VAR = 1.0  # m^2, depth-sensor error variance
 
@@ -57,32 +54,11 @@ DAMPING_FLOOR = 1.0 / 1024.0
 
 
 @dataclass(frozen=True)
-class TruthPerturbed:
-    """Diagnostic start: truth plus an offset of exact length radius_m."""
-
-    radius_m: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    position: Position
-
-
-@dataclass(frozen=True)
-class DepthAnchored:
-    """Start at the anchors' horizontal centroid, depth from the sensor."""
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
     # 0.1 mm stopping tolerance: far below any acoustic ranging error,
     # yet reachable in ~10-30 damped reweighted steps at heavy noise.
     max_iterations: int = 100
     position_tolerance: float = 1e-4
-    initial_guess: TruthPerturbed | FixedPoint | DepthAnchored = field(
-        default_factory=DepthAnchored
-    )
     depth_weight: float = 1.0 / DEPTH_NOISE_VAR
 
     def __post_init__(self) -> None:
@@ -92,71 +68,6 @@ class EstimatorConfig:
             raise ValueError("position_tolerance must be positive")
         if self.depth_weight < 0:
             raise ValueError("depth_weight must be >= 0")
-
-
-@dataclass(frozen=True)
-class MeasurementSample:
-    rtt: tuple[float, ...]
-    depth_meas: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.rtt):
-            raise ValueError("travel times must be finite")
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    q_hat: Position
-    iterations: int
-    converged: bool
-    final_residual_norm: float
-
-
-def simulate_measurements(
-    q: Position,
-    anchors: list[Position],
-    ssp: SoundSpeedProfile,
-    noise: NoiseModel,
-    seed: int | np.random.Generator,
-) -> MeasurementSample:
-    """One noisy sample: per-anchor timing noise, then the depth reading.
-
-    Draws like one row of the harness's noise block, timing deviates
-    first and depth last; ``seed`` may be a Generator.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q_xyz = np.asarray(q.as_array())
-    p_xyz = np.array([p.as_array() for p in anchors])
-    t, _ = _time_and_rows(q_xyz, p_xyz, ssp)
-    if not np.all(np.isfinite(t)):
-        raise DegenerateGeometry("invalid ray geometry for at least one anchor")
-    sigma = np.sqrt(_sigma2(q_xyz, p_xyz, ssp, noise))
-    rtt = t + rng.normal(0.0, 1.0, len(anchors)) * sigma
-    depth = q.z + rng.normal(0.0, math.sqrt(DEPTH_NOISE_VAR))
-    return MeasurementSample(rtt=tuple(float(v) for v in rtt), depth_meas=float(depth))
-
-
-def _initial_points(
-    samples_depth: np.ndarray,
-    p_b: np.ndarray,
-    config: EstimatorConfig,
-    truth: Position | None,
-    batch: int,
-) -> np.ndarray:
-    guess = config.initial_guess
-    if isinstance(guess, FixedPoint):
-        return np.tile(guess.position.as_array(), (batch, 1))
-    if isinstance(guess, TruthPerturbed):
-        if truth is None:
-            raise ValueError("TruthPerturbed initial guess needs the true position")
-        rng = np.random.default_rng(guess.seed)
-        direction = rng.normal(size=(batch, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        return truth.as_array() + guess.radius_m * direction
-    out = np.empty((batch, 3))
-    out[:, :2] = p_b[:, :, :2].mean(axis=1)
-    out[:, 2] = samples_depth
-    return out
 
 
 # the halved steps 1/2 .. 1/2**(BACKTRACK_LIMIT - 1) in groups of 1, 2, 4
@@ -185,17 +96,16 @@ def _weighted_sse(
 def _estimate_batch(
     rtt: np.ndarray,
     depth: np.ndarray,
-    anchors,
+    p_b: np.ndarray,
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig,
-    truth: Position | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run every sample's Gauss-Newton iteration in lockstep.
+    q0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run every sample's Gauss-Newton iteration in lockstep from q0.
 
-    ``anchors`` is a Position list shared by all samples, an (N, 3)
-    array, or an (batch, N, 3) stack giving each sample its own layout.
-    Returns (q, iterations, converged, singular, residual_norm).  A
+    ``p_b`` is the (batch, N, 3) anchor stack and ``q0`` the (batch, 3)
+    starting points.  Returns (q, iterations, converged, singular).  A
     sample leaves the active set when it converges, diverges, or hits a
     singular normal matrix; finished samples are frozen while the rest
     continue.
@@ -205,23 +115,14 @@ def _estimate_batch(
     and afterwards only on line-search candidates, whose output becomes
     the next iterate's when the candidate is accepted.
     """
-    batch, n = rtt.shape
-    if n < 4:
-        raise TooFewAnchors(f"need at least 4 anchors, got {n}")
-    if isinstance(anchors, np.ndarray):
-        p_xyz = anchors
-    else:
-        p_xyz = np.array([p.as_array() for p in anchors])
-    p_b = np.broadcast_to(p_xyz, (batch, n, 3)) if p_xyz.ndim == 2 else p_xyz
-    if p_b.shape != (batch, n, 3):
-        raise ValueError("anchor stack shape does not match the samples")
+    batch = len(rtt)
     max_step = DIVERGENCE_SPAN_FACTOR * np.linalg.norm(
         p_b.max(axis=1) - p_b.min(axis=1), axis=1
     )
     w_depth = config.depth_weight
     sw = math.sqrt(w_depth)
 
-    q = _initial_points(depth, p_b, config, truth, batch)
+    q = np.array(q0, dtype=float)
     t_q, rows_q = _time_and_rows(q, p_b, ssp)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
@@ -327,41 +228,7 @@ def _estimate_batch(
             converged[ss] = step_norm[rest] <= config.position_tolerance
             active[ss] = False
 
-    with np.errstate(invalid="ignore"):
-        resid_norm = np.sqrt(np.sum((rtt - t_q) ** 2, axis=1))
-    return q, iterations, converged, singular, resid_norm
-
-
-def estimate_position(
-    sample: MeasurementSample,
-    anchors: list[Position],
-    ssp: SoundSpeedProfile,
-    noise: NoiseModel,
-    config: EstimatorConfig | None = None,
-    truth: Position | None = None,
-) -> EstimateResult:
-    """Estimate one position from one sample.
-
-    ``truth`` is only consulted by the TruthPerturbed diagnostic start.
-    Raises SingularNormalMatrix when the normal equations are singular at
-    some iterate; divergence is reported through converged=False.
-    """
-    cfg = config or EstimatorConfig()
-    if len(sample.rtt) != len(anchors):
-        raise ValueError("sample length does not match anchor count")
-    rtt = np.array([sample.rtt])
-    depth = np.array([sample.depth_meas])
-    q, iters, conv, singular, resid = _estimate_batch(
-        rtt, depth, anchors, ssp, noise, cfg, truth
-    )
-    if singular[0]:
-        raise SingularNormalMatrix("normal matrix numerically singular")
-    return EstimateResult(
-        q_hat=Position(*q[0]),
-        iterations=int(iters[0]),
-        converged=bool(conv[0]),
-        final_residual_norm=float(resid[0]),
-    )
+    return q, iterations, converged, singular
 
 
 def estimate_trials(
@@ -371,7 +238,6 @@ def estimate_trials(
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig | None = None,
-    truth: Position | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array-in, array-out batch solve for Monte-Carlo harnesses.
 
@@ -379,31 +245,19 @@ def estimate_trials(
     (trials, N, 3) per trial.  Returns (q_hat, iterations, converged,
     singular); singular trials are non-converged rather than raised.
     """
-    cfg = config or EstimatorConfig()
-    q, iters, conv, singular, _ = _estimate_batch(
-        np.asarray(rtt, dtype=float),
-        np.asarray(depth, dtype=float),
-        np.asarray(anchor_stack, dtype=float),
-        ssp,
-        noise,
-        cfg,
-        truth,
+    rtt = np.asarray(rtt, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    p_xyz = np.asarray(anchor_stack, dtype=float)
+    batch, n = rtt.shape
+    if n < 4:
+        raise TooFewAnchors(f"need at least 4 anchors, got {n}")
+    p_b = np.broadcast_to(p_xyz, (batch, n, 3)) if p_xyz.ndim == 2 else p_xyz
+    if p_b.shape != (batch, n, 3):
+        raise ValueError("anchor stack shape does not match the samples")
+    q0 = np.empty((batch, 3))
+    q0[:, :2] = p_b[:, :, :2].mean(axis=1)
+    q0[:, 2] = depth
+    q, iters, conv, singular = _estimate_batch(
+        rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0
     )
     return q, iters, conv & ~singular, singular
-
-
-def rmse(estimates: list[EstimateResult], truth: Position) -> float:
-    """Root-mean-square position error over the converged estimates.
-
-    Non-converged entries are skipped; callers report their count
-    separately.  Raises NoConvergedTrials when nothing converged.
-    """
-    tx = truth.as_array()
-    sq = [
-        float(np.sum((e.q_hat.as_array() - tx) ** 2))
-        for e in estimates
-        if e.converged
-    ]
-    if not sq:
-        raise NoConvergedTrials("no converged estimates to average")
-    return math.sqrt(sum(sq) / len(sq))

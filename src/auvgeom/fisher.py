@@ -13,8 +13,8 @@ AUV coordinates.  That gradient has the closed form
 
 ``_time_and_rows`` evaluates travel times and these rows for any batch of
 anchor-AUV pairs, and ``_sigma2`` the timing variances.  They are the one
-source of both for ``fim``, the measurement simulator, the Monte-Carlo
-harness and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
+source of both for ``fim``, the Monte-Carlo harness's measurements and
+bound, and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
 refuses a matrix whose condition number exceeds 1e12 with the same
 screened test the estimator applies to its normal matrices, and inverts
 the rest with LAPACK.

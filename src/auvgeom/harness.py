@@ -252,6 +252,28 @@ def _cell_rng(s: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
+def _measurements(
+    truth: np.ndarray,
+    anchor_stack: np.ndarray,
+    ssp: SoundSpeedProfile,
+    noise: NoiseModel,
+    dev: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Noisy travel times and depth readings from standard-normal deviates.
+
+    truth is (trials, 3), anchor_stack (trials, N, 3) and dev
+    (trials, N + 1), with the depth deviate in the last column.  Returns
+    (rtt, depth, rows, sigma2): the measurements, then the Jacobian rows
+    and timing variances at the true positions, which the bound reuses.
+    """
+    n = anchor_stack.shape[-2]
+    t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
+    sigma2 = _sigma2(truth, anchor_stack, ssp, noise)
+    rtt = t_true + dev[:, :n] * np.sqrt(sigma2)
+    depth = truth[:, 2] + dev[:, n] * math.sqrt(DEPTH_NOISE_VAR)
+    return rtt, depth, rows, sigma2
+
+
 def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
     """One Monte-Carlo execution: (rmse, trace, diverged, k_used, n).
 
@@ -279,10 +301,7 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
             anchor_stack = np.broadcast_to([p.as_array() for p in anchors0], (s.trials, n, 3))
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
-    t_true, rows = _time_and_rows(truth, anchor_stack, s.ssp)
-    sigma2 = _sigma2(truth, anchor_stack, s.ssp, s.noise)
-    rtt = t_true + dev[:, :n] * np.sqrt(sigma2)
-    depth_meas = truth[:, 2] + dev[:, n] * math.sqrt(DEPTH_NOISE_VAR)
+    rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
 
     config = EstimatorConfig()
     q_hat, _, converged, _ = estimate_trials(
@@ -452,19 +471,25 @@ def export_csv(table: ResultTable, path: str, comments: tuple[str, ...] = ()) ->
 
 def load_csv(path: str) -> ResultTable:
     """Parse a CSV written by export_csv under any contract; '#' lines are skipped."""
-    rows = []
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+            lines = [
+                (i, ln.rstrip("\n"))
+                for i, ln in enumerate(f, 1)
+                if ln.strip() and not ln.startswith("#")
+            ]
     except OSError as e:
         raise OSError(f"cannot read CSV from {path!r}: {e}") from e
-    data = [ln for ln in lines if not ln.startswith("#")]
-    if not data or data[0] != CSV_HEADER:
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path!r} does not carry the expected header")
-    for ln in data[1:]:
+    width = CSV_HEADER.count(",") + 1
+    rows = []
+    for i, ln in lines[1:]:
         parts = ln.split(",")
-        rows.append(
-            Row(
+        if len(parts) != width:
+            raise ValueError(f"{path!r} line {i}: {len(parts)} fields, expected {width}")
+        try:
+            row = Row(
                 axis_name=parts[0],
                 axis_value=float(parts[1]),
                 scheme=parts[2],
@@ -476,7 +501,9 @@ def load_csv(path: str) -> ResultTable:
                 trials=int(parts[8]),
                 seed=int(parts[9]),
             )
-        )
+        except ValueError as e:
+            raise ValueError(f"{path!r} line {i}: {e}") from None
+        rows.append(row)
     return ResultTable(rows=tuple(rows))
 
 

@@ -14,10 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from auvgeom.deployment import default_box_for, random_layouts
-from auvgeom.errors import EmptyTable, SingularFim
+from auvgeom.deployment import default_box_for, random_layouts, usc_positions
+from auvgeom.errors import DegenerateGeometry, EmptyTable, SingularFim
 from auvgeom.estimation import estimate_trials
-from auvgeom.fisher import NoiseModel, _sigma2, _time_and_rows
+from auvgeom.fisher import NoiseModel
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import (
     Axis,
@@ -36,6 +36,8 @@ from auvgeom.harness import (
     SweepSpec,
     Usc,
     Variant,
+    _measurements,
+    _row_line,
     csv_text,
     emit_plot,
     export_csv,
@@ -174,9 +176,8 @@ class TestRunScenario:
         stack = random_layouts(default_box_for(AUV), 8, dep, s.trials)
         dev = noise.standard_normal((s.trials, 9))
         truth = np.tile(AUV.as_array(), (s.trials, 1))
-        t, _ = _time_and_rows(truth, stack, SSP)
-        rtt = t + dev[:, :8] * np.sqrt(_sigma2(truth, stack, SSP, s.noise))
-        q_hat, _, converged, _ = estimate_trials(rtt, AUV.z + dev[:, 8], stack, SSP, s.noise)
+        rtt, depth, _, _ = _measurements(truth, stack, SSP, s.noise, dev)
+        q_hat, _, converged, _ = estimate_trials(rtt, depth, stack, SSP, s.noise)
         err2 = np.sum((q_hat[converged] - AUV.as_array()) ** 2, axis=1)
         row = run_scenario(s)
         assert row.diverged == int((~converged).sum())
@@ -186,6 +187,13 @@ class TestRunScenario:
         coplanar = tuple(Position(x, 50.0, 0.0) for x in (0.0, 40.0, 80.0, 120.0))
         with pytest.raises(SingularFim):
             run_scenario(small_scenario(deployment=FixedAnchors(coplanar)))
+
+    def test_vertical_anchor_rejected(self):
+        # an anchor straight above the AUV has no bent-ray Jacobian row
+        above = Position(AUV.x, AUV.y, 0.0)
+        anchors = (above, *usc_positions(AUV, 8, 1.0)[:3])
+        with pytest.raises(DegenerateGeometry):
+            run_scenario(small_scenario(deployment=FixedAnchors(anchors)))
 
 
 class TestMovementModels:
@@ -290,6 +298,14 @@ class TestCsv:
         path.write_text("".join(ln for ln in lines if ln != CSV_CONTRACT + "\n"))
         assert CSV_CONTRACT not in path.read_text()
         assert load_csv(str(path)).rows == ROWS
+
+    def test_malformed_row_names_path_and_line(self, tmp_path):
+        good = _row_line(ROWS[0])
+        for bad in ("single,0.0,usc,8,1.0,2.0", good + ",extra", good.replace(",", ",x", 1)):
+            path = tmp_path / "bad.csv"
+            path.write_text(f"# run A\n{CSV_CONTRACT}\n{CSV_HEADER}\n{good}\n{bad}\n")
+            with pytest.raises(ValueError, match=r"bad\.csv'? line 5:"):
+                load_csv(str(path))
 
     def test_rejects_foreign_header(self, tmp_path):
         path = str(tmp_path / "alien.csv")
