@@ -1,10 +1,11 @@
 """Anchor deployment and localization accuracy for bent-ray acoustics.
 
-The package splits into geometry (ray closed forms and their numerical
-oracle), fisher (jacobians, information matrix, noise models), deployment
-(the surface-circle layout, its closed-form objective and optimizer, and
-the cube/random baselines), estimation (the batched Gauss-Newton solver
-with depth-sensor fusion), and harness (seeded Monte-Carlo sweeps with
+The package splits into geometry (the sound-speed profile and position
+types), fisher (the batched ray kernel for travel times and Jacobian
+rows, noise models, information matrix and CRLB), deployment (the
+surface-circle layout, its closed-form objective and optimizer, and the
+cube/random baselines), estimation (the batched Gauss-Newton solver with
+depth-sensor fusion), and harness (seeded Monte-Carlo sweeps with
 CSV/SVG output).  The cli module wires them to the `auvgeom` command.
 """
 
@@ -13,36 +14,19 @@ from .errors import (
     DegenerateAfterRetries,
     DegenerateGeometry,
     EmptyTable,
-    GrazingRay,
     NoConvergedTrials,
-    NoEigenray,
     NonPositiveK,
     SingularFim,
     TooFewAnchors,
     UnsupportedCount,
-    VerticalRay,
     ZeroDiagonal,
-    ZeroHorizontalRange,
 )
-from .geometry import (
-    Position,
-    SoundSpeedProfile,
-    arc_length,
-    bearing,
-    deviation_angle,
-    elevation_angle,
-    horizontal_range,
-    ray_travel_time,
-    snell_travel_time_oracle,
-    sound_speed,
-)
+from .geometry import Position, SoundSpeedProfile
 from .fisher import (
     FimResult,
     NoiseModel,
     diagonal_lower_bound,
     fim,
-    jacobian,
-    jacobian_row,
     noise_variance,
 )
 from .deployment import (

@@ -12,28 +12,9 @@ class AuvgeomError(Exception):
     """Base class for all auvgeom errors."""
 
 
-class ZeroHorizontalRange(AuvgeomError):
-    """Bearing requested for two points with no horizontal separation."""
-
-
-class VerticalRay(AuvgeomError):
-    """Elevation requested for a (near-)vertical ray, where the closed-form
-    bent-ray expressions are undefined."""
-
-
-class GrazingRay(AuvgeomError):
-    """Ray so close to vertical that cos(theta +/- alpha) underflows the
-    1e-12 guard and the travel-time logarithm diverges."""
-
-
-class NoEigenray(AuvgeomError):
-    """The numerical ray integrator could not bracket a launch angle that
-    connects the two endpoints without a turning point."""
-
-
 class DegenerateGeometry(AuvgeomError):
-    """Jacobian denominators vanish: |cos^2(theta) - sin^2(alpha)| below
-    1e-12, or zero horizontal range."""
+    """A Jacobian row is undefined: zero horizontal range, a grazing ray,
+    or |cos^2(theta) - sin^2(alpha)| below 1e-12."""
 
 
 class SingularFim(AuvgeomError):

@@ -4,7 +4,7 @@ Measurements are one-way travel times under the bent-ray model plus a
 depth-sensor reading with 1 m^2 Gaussian noise.  The estimator runs
 iterated Gauss-Newton on the weighted least-squares cost
 
-    sum_i (rtt_i - t_i(q))^2 / sigma_i^2 + w * (depth_meas - q_z)^2,
+    sum_i (rtt_i - t_i(q))^2 / sigma_i^2 + (depth_meas - q_z)^2 / DEPTH_NOISE_VAR,
 
 which for a static position is algebraically the iterated-EKF
 measurement update.  Timing weights are re-evaluated at the current
@@ -59,15 +59,12 @@ class EstimatorConfig:
     # yet reachable in ~10-30 damped reweighted steps at heavy noise.
     max_iterations: int = 100
     position_tolerance: float = 1e-4
-    depth_weight: float = 1.0 / DEPTH_NOISE_VAR
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.position_tolerance > 0:
             raise ValueError("position_tolerance must be positive")
-        if self.depth_weight < 0:
-            raise ValueError("depth_weight must be >= 0")
 
 
 # the halved steps 1/2 .. 1/2**(BACKTRACK_LIMIT - 1) in groups of 1, 2, 4
@@ -119,7 +116,7 @@ def _estimate_batch(
     max_step = DIVERGENCE_SPAN_FACTOR * np.linalg.norm(
         p_b.max(axis=1) - p_b.min(axis=1), axis=1
     )
-    w_depth = config.depth_weight
+    w_depth = 1.0 / DEPTH_NOISE_VAR
     sw = math.sqrt(w_depth)
 
     q = np.array(q0, dtype=float)

@@ -1,15 +1,30 @@
-"""Measurement noise, travel-time Jacobian, Fisher information, and CRLB.
+"""Ray kernel, measurement noise, Fisher information, and CRLB.
 
-The measurement vector stacks one bent-ray travel time per anchor.  With
+Between an anchor p and the AUV q the bent ray is a circular arc.  With
+d the horizontal range, r the slant range and phi the bearing, two
+angles fix it:
+
+    theta = arctan((z_q - z_p) / d)          chord elevation
+    alpha = arctan(d / (2b/a + z_q + z_p))   ray deviation from the chord
+
+The travel time is
+
+    t = (1/a) * [F(theta + alpha) - F(theta - alpha)],
+    F(x) = ln((1 + sin x) / cos x) = asinh(tan x),
+
+evaluated in the asinh form, which does not cancel catastrophically for
+small angles and makes the endpoint swap theta -> -theta exact in
+floating point.  Its gradient with respect to the AUV coordinates is
+
+    (2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha)).
+
+The measurement vector stacks one travel time per anchor.  With
 independent zero-mean Gaussian timing errors of variance sigma_i^2 the
 Fisher information matrix for the AUV position is
 
     FIM = J^T Sigma^{-1} J,    Sigma = diag(sigma_i^2),
 
-where row i of J is the gradient of travel time t_i with respect to the
-AUV coordinates.  That gradient has the closed form
-
-    (2 sin(alpha_i) / (a r_i)) * (cos(phi_i), sin(phi_i), tan(theta_i - alpha_i)).
+where row i of J is the gradient above for anchor i.
 
 ``_time_and_rows`` evaluates travel times and these rows for any batch of
 anchor-AUV pairs, and ``_sigma2`` the timing variances.  They are the one
@@ -53,10 +68,9 @@ class NoiseModel:
 
     into a variance sigma^2 = 10^((ke_db + A_db)/10), in squared seconds
     by convention (the decibel reading of the model; see README).
-    frequency_f is carried as metadata only, absorption being supplied
-    directly through l_f_db_per_km.  use_arc_length selects the bent-ray
-    arc length instead of the straight slant range as the distance
-    argument; the two differ by well under 0.1% at the geometries here.
+    use_arc_length selects the bent-ray arc length instead of the
+    straight slant range as the distance argument; the two differ by
+    well under 0.1% at the geometries here.
     """
 
     kind: str = KIND_DISTANCE
@@ -65,7 +79,6 @@ class NoiseModel:
     beta: float = 2.0
     l0: float = 1000.0
     l_f_db_per_km: float = 1.0
-    frequency_f: float | None = None
     use_arc_length: bool = False
 
     def __post_init__(self) -> None:
@@ -88,7 +101,6 @@ class NoiseModel:
         beta: float = 2.0,
         l0: float = 1000.0,
         l_f_db_per_km: float = 1.0,
-        frequency_f: float | None = None,
         use_arc_length: bool = False,
     ) -> "NoiseModel":
         return NoiseModel(
@@ -97,7 +109,6 @@ class NoiseModel:
             beta=beta,
             l0=l0,
             l_f_db_per_km=l_f_db_per_km,
-            frequency_f=frequency_f,
             use_arc_length=use_arc_length,
         )
 
@@ -200,48 +211,6 @@ def noise_variance(noise: NoiseModel, distance_l: float) -> float:
     return float(_variance_at(noise, distance_l))
 
 
-def _anchor_arrays(q: Position, anchors: list[Position]) -> tuple[np.ndarray, np.ndarray]:
-    if len(anchors) < 4:
-        raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
-    return q.as_array(), np.array([p.as_array() for p in anchors])
-
-
-def _checked_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile) -> np.ndarray:
-    """The kernel's (N, 3) rows; DegenerateGeometry names the first
-    anchor whose row is undefined."""
-    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
-    bad = np.flatnonzero(np.isnan(rows).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        if np.hypot(*(q_xyz[:2] - p_xyz[i, :2])) <= COINCIDENT_TOL:
-            reason = "zero horizontal range"
-        else:
-            reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
-        raise DegenerateGeometry(f"anchor {i}: {reason}")
-    return rows
-
-
-def jacobian_row(q: Position, p: Position, ssp: SoundSpeedProfile) -> tuple[float, float, float]:
-    """Gradient of the travel time with respect to the AUV coordinates,
-
-        (2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha)).
-
-    Raises DegenerateGeometry when the horizontal range vanishes, the
-    ray grazes, or |cos^2(theta) - sin^2(alpha)| < 1e-12.
-    """
-    rows = _checked_rows(q.as_array(), p.as_array()[None], ssp)
-    return tuple(float(v) for v in rows[0])
-
-
-def jacobian(q: Position, anchors: list[Position], ssp: SoundSpeedProfile) -> np.ndarray:
-    """The (N, 3) Jacobian: one jacobian_row per anchor.
-
-    Requires at least four anchors; a degenerate row raises
-    DegenerateGeometry with the offending anchor index prepended.
-    """
-    return _checked_rows(*_anchor_arrays(q, anchors), ssp)
-
-
 def _ill_conditioned(m: np.ndarray) -> np.ndarray:
     """True where a symmetric 3x3 matrix is non-finite or has cond > 1e12.
 
@@ -277,11 +246,23 @@ def fim(
     """Fisher information and CRLB for one AUV position and anchor set.
 
     Forms J^T Sigma^{-1} J from the kernel's rows and the shared
-    variances.  Raises SingularFim when the matrix is not finite or its
-    condition number exceeds 1e12; otherwise the CRLB is its inverse.
+    variances.  Raises TooFewAnchors below four anchors,
+    DegenerateGeometry naming the first anchor whose row is undefined,
+    and SingularFim when the matrix is not finite or its condition
+    number exceeds 1e12; otherwise the CRLB is its inverse.
     """
-    q_xyz, p_xyz = _anchor_arrays(q, anchors)
-    rows = _checked_rows(q_xyz, p_xyz, ssp)
+    if len(anchors) < 4:
+        raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
+    q_xyz, p_xyz = q.as_array(), np.array([p.as_array() for p in anchors])
+    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
+    bad = np.flatnonzero(np.isnan(rows).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if np.hypot(*(q_xyz[:2] - p_xyz[i, :2])) <= COINCIDENT_TOL:
+            reason = "zero horizontal range"
+        else:
+            reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
+        raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
         f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, ssp, noise)[:, None])
         f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding

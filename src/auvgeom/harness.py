@@ -227,14 +227,14 @@ def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float, int]:
     return list(dep.anchors), float("nan"), len(dep.anchors)
 
 
-def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray, depth_weight: float) -> float:
+def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
     """Mean over trials of tr((F_tof + depth info)^-1), NaN-tolerant.
 
     rows and sigma2 are the per-trial Jacobian rows (trials, N, 3) and
     timing variances (trials, N) at the true positions.
     """
     f = np.einsum("tni,tnj->tij", rows / sigma2[..., None], rows)
-    f[:, 2, 2] += depth_weight
+    f[:, 2, 2] += 1.0 / DEPTH_NOISE_VAR
     with np.errstate(all="ignore"):
         ok = np.all(np.isfinite(f), axis=(1, 2))
         traces = np.full(len(f), np.nan)
@@ -303,15 +303,14 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
 
-    config = EstimatorConfig()
     q_hat, _, converged, _ = estimate_trials(
-        rtt, depth_meas, anchor_stack, s.ssp, s.noise, config
+        rtt, depth_meas, anchor_stack, s.ssp, s.noise, EstimatorConfig()
     )
     if not converged.any():
         raise NoConvergedTrials(f"all {s.trials} trials failed to converge")
     err2 = np.sum((q_hat[converged] - truth[converged]) ** 2, axis=1)
     rmse_val = float(np.sqrt(err2.mean()))
-    trace = _augmented_trace(rows, sigma2, config.depth_weight)
+    trace = _augmented_trace(rows, sigma2)
     return rmse_val, trace, int((~converged).sum()), k_used, n
 
 

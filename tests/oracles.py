@@ -1,11 +1,18 @@
-"""Scalar reference formulas that the vectorized code is checked against.
+"""Reference formulas that the vectorized code is checked against.
 
-They rebuild the travel-time Jacobian and the Fisher matrix from the
-per-pair angles of ``auvgeom.geometry`` one anchor at a time, sharing no
-code with the batched kernel ``fisher._time_and_rows``, the shared
-variance function ``fisher._sigma2`` or ``fim``.  The radius-scale grid
-is evaluated point by point through the scalar ``k_objective``, against
-the one-pass ``deployment.grid_search_k``.
+They share no code with the batched kernel ``fisher._time_and_rows``,
+the shared variance function ``fisher._sigma2`` or ``fim``:
+
+- ``snell_travel_time_oracle`` integrates the travel time from Snell's
+  law, with no use of the closed form;
+- ``log_form_time`` writes the closed form in its ln((1 + sin)/cos) form
+  from the per-pair angles;
+- ``closed_row``, ``chain_row``, ``anchor_variance`` and ``angle_sum_fim``
+  rebuild the Jacobian, the timing variances and the Fisher matrix one
+  anchor at a time from the same angles.
+
+The radius-scale grid is evaluated point by point through the scalar
+``k_objective``, against the one-pass ``deployment.grid_search_k``.
 """
 
 import math
@@ -14,21 +21,135 @@ import numpy as np
 
 from auvgeom.deployment import k_objective
 from auvgeom.fisher import noise_variance
-from auvgeom.geometry import (
-    arc_length,
-    bearing,
-    deviation_angle,
-    elevation_angle,
-    horizontal_range,
-)
+from auvgeom.geometry import COINCIDENT_TOL
+
+
+class NoEigenray(Exception):
+    """No launch angle connects the endpoints without a turning point."""
+
+
+def _horizontal_range(q, p):
+    return math.hypot(q.x - p.x, q.y - p.y)
+
+
+def _slant_range(q, p):
+    return math.hypot(_horizontal_range(q, p), q.z - p.z)
+
+
+def _bearing(q, p):
+    """Bearing phi of q as seen from p, in (-pi, pi]."""
+    phi = math.atan2(q.y - p.y, q.x - p.x)
+    return math.pi if phi == -math.pi else phi
+
+
+def _elevation(q, p):
+    """Chord elevation theta = arctan((z - z_i) / d)."""
+    return math.atan((q.z - p.z) / _horizontal_range(q, p))
+
+
+def _deviation(q, p, ssp):
+    """Ray deviation from the chord, alpha = arctan(d / (2b/a + z + z_i))."""
+    axial = 2.0 * ssp.surface_speed_b / ssp.steepness_a + q.z + p.z
+    return math.atan2(_horizontal_range(q, p), axial)
+
+
+def _arc_length(q, p, ssp):
+    """Ray arc r * alpha / sin(alpha); the chord r below alpha = 1e-9."""
+    r = _slant_range(q, p)
+    alpha = _deviation(q, p, ssp)
+    return r * alpha / math.sin(alpha) if alpha > 1e-9 else r
+
+
+def log_form_time(q, p, ssp):
+    """(1/a) * [F(theta + alpha) - F(theta - alpha)], F(x) = ln((1 + sin x) / cos x)."""
+    theta = _elevation(q, p)
+    alpha = _deviation(q, p, ssp)
+
+    def F(x):
+        return math.log((1 + math.sin(x)) / math.cos(x))
+
+    return (F(theta + alpha) - F(theta - alpha)) / ssp.steepness_a
+
+
+def _simpson(values, h):
+    # Composite Simpson over an odd number of equally spaced samples.
+    return float(
+        (h / 3.0)
+        * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum())
+    )
+
+
+def snell_travel_time_oracle(q, p, ssp, steps=20000):
+    """Travel time by numerical ray integration, independent of the closed form.
+
+    Uses the Snell invariant kappa = cos(gamma(z))/C(z) along the ray.
+    For a non-turning ray between depths z_lo < z_hi the horizontal
+    advance and travel time are depth integrals
+
+        D(kappa) = integral kappa*C / sqrt(1 - kappa^2 C^2) dz
+        t(kappa) = integral 1 / (C * sqrt(1 - kappa^2 C^2)) dz,
+
+    both evaluated by composite Simpson quadrature over ``steps`` panels.
+    The launch grazing angle at the shallow endpoint is found by bisection
+    (tolerance 1e-12 rad) so that D matches the requested horizontal
+    range.  Requires distinct depths; the vertical case integrates to
+    (1/a)*ln(C_hi/C_lo) exactly.  Raises NoEigenray when no non-turning
+    ray reaches the requested range (launch angles within 1e-7 rad of the
+    turning limit are treated as unreachable).
+    """
+    if steps < 1000:
+        raise ValueError("steps must be at least 1000")
+    if abs(q.z - p.z) <= COINCIDENT_TOL:
+        raise ValueError("oracle requires distinct depths")
+    d = _horizontal_range(q, p)
+    z_lo, z_hi = sorted((q.z, p.z))
+    a = ssp.steepness_a
+    c_lo = ssp.surface_speed_b + a * z_lo
+    c_hi = ssp.surface_speed_b + a * z_hi
+    if d <= COINCIDENT_TOL:
+        return math.log(c_hi / c_lo) / a
+
+    if steps % 2:
+        steps += 1
+    z = np.linspace(z_lo, z_hi, steps + 1)
+    h = (z_hi - z_lo) / steps
+    c = ssp.surface_speed_b + a * z
+
+    def advance(gamma):
+        # Horizontal range of the ray launched at grazing angle gamma
+        # (measured from horizontal) at the shallow endpoint.
+        kappa = math.cos(gamma) / c_lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            integrand = kappa * c / np.sqrt(1.0 - (kappa * c) ** 2)
+        return _simpson(integrand, h)
+
+    # gamma = pi/2 is the vertical ray (zero advance); the turning limit
+    # is where the ray becomes horizontal at the deep endpoint.
+    gamma_min = math.acos(c_lo / c_hi)
+    gamma_probe = gamma_min + 1e-7
+    if advance(gamma_probe) < d:
+        raise NoEigenray(f"horizontal range {d:.6g} m unreachable without a turning point")
+    lo, hi = gamma_probe, math.pi / 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if advance(mid) > d:
+            lo = mid
+        else:
+            hi = mid
+    gamma = 0.5 * (lo + hi)
+
+    kappa = math.cos(gamma) / c_lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        integrand = 1.0 / (c * np.sqrt(1.0 - (kappa * c) ** 2))
+    return _simpson(integrand, h)
 
 
 def closed_row(q, p, ssp):
     """(2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha))."""
-    theta = elevation_angle(q, p)
-    alpha = deviation_angle(q, p, ssp)
-    phi = bearing(q, p)
-    r = math.hypot(horizontal_range(q, p), q.z - p.z)
+    theta = _elevation(q, p)
+    alpha = _deviation(q, p, ssp)
+    phi = _bearing(q, p)
+    r = _slant_range(q, p)
     scale = 2.0 * math.sin(alpha) / (ssp.steepness_a * r)
     return (
         scale * math.cos(phi),
@@ -44,11 +165,11 @@ def chain_row(q, p, ssp):
     l = sqrt(d^2 + (2b/a + z + z_i)^2) the hypotenuse paired with alpha.
     """
     a = ssp.steepness_a
-    d = horizontal_range(q, p)
-    theta = elevation_angle(q, p)
-    alpha = deviation_angle(q, p, ssp)
-    phi = bearing(q, p)
-    r = math.hypot(d, q.z - p.z)
+    d = _horizontal_range(q, p)
+    theta = _elevation(q, p)
+    alpha = _deviation(q, p, ssp)
+    phi = _bearing(q, p)
+    r = _slant_range(q, p)
     l = math.hypot(d, 2.0 * ssp.surface_speed_b / a + q.z + p.z)
     denom = math.cos(theta) ** 2 - math.sin(alpha) ** 2
     dt_dtheta = 2.0 * math.sin(theta) * math.sin(alpha) / (a * denom)
@@ -68,10 +189,7 @@ def chain_row(q, p, ssp):
 
 def anchor_variance(q, p, ssp, noise):
     """sigma^2 at the slant range, or at the arc length when asked for."""
-    if noise.use_arc_length:
-        distance = arc_length(q, p, ssp)
-    else:
-        distance = math.hypot(horizontal_range(q, p), q.z - p.z)
+    distance = _arc_length(q, p, ssp) if noise.use_arc_length else _slant_range(q, p)
     return noise_variance(noise, distance)
 
 
@@ -82,10 +200,10 @@ def angle_sum_fim(q, anchors, ssp, noise):
     4/a^2, e.g. psi_11 = (4/a^2) * sum w_i cos^2(phi_i) and
     psi_33 = (4/a^2) * sum w_i tan^2(theta_i - alpha_i).
     """
-    d = np.array([horizontal_range(q, p) for p in anchors])
-    theta = np.array([elevation_angle(q, p) for p in anchors])
-    alpha = np.array([deviation_angle(q, p, ssp) for p in anchors])
-    phi = np.array([bearing(q, p) for p in anchors])
+    d = np.array([_horizontal_range(q, p) for p in anchors])
+    theta = np.array([_elevation(q, p) for p in anchors])
+    alpha = np.array([_deviation(q, p, ssp) for p in anchors])
+    phi = np.array([_bearing(q, p) for p in anchors])
     sigma2 = np.array([anchor_variance(q, p, ssp, noise) for p in anchors])
     w = np.sin(alpha) ** 2 * np.cos(theta) ** 2 / (d ** 2 * sigma2)
     u = np.stack([np.cos(phi), np.sin(phi), np.tan(theta - alpha)])

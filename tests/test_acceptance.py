@@ -23,13 +23,8 @@ from auvgeom.deployment import (
     usc_trace_crlb_closed_form,
 )
 from auvgeom.estimation import DEPTH_NOISE_VAR
-from auvgeom.fisher import diagonal_lower_bound, fim, jacobian_row
-from auvgeom.geometry import (
-    Position,
-    SoundSpeedProfile,
-    ray_travel_time,
-    snell_travel_time_oracle,
-)
+from auvgeom.fisher import diagonal_lower_bound, fim
+from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import (
     Scenario,
     Usc,
@@ -39,7 +34,8 @@ from auvgeom.harness import (
     run_scenario,
     sweep,
 )
-from oracles import chain_row
+from adapters import kernel_pair
+from oracles import chain_row, snell_travel_time_oracle
 
 SSP = SoundSpeedProfile()
 DD = NoiseModel.distance_dependent()
@@ -217,7 +213,7 @@ def fd_gradient(q, p, h=1e-3):
         step[axis] = h
         hi = Position(q.x + step[0], q.y + step[1], q.z + step[2])
         lo = Position(q.x - step[0], q.y - step[1], q.z - step[2])
-        out.append((ray_travel_time(hi, p, SSP) - ray_travel_time(lo, p, SSP)) / (2 * h))
+        out.append((kernel_pair(hi, p, SSP)[0] - kernel_pair(lo, p, SSP)[0]) / (2 * h))
     return np.array(out)
 
 
@@ -227,7 +223,7 @@ def test_c08_sensitivity_rows_match_differences_and_chain_route():
     worst_chain = 0.0
     for _ in range(1000):
         q, p = random_pair(rng)
-        closed = np.array(jacobian_row(q, p, SSP))
+        _, closed = kernel_pair(q, p, SSP)
         fd = fd_gradient(q, p)
         chain = np.array(chain_row(q, p, SSP))
         scale = np.linalg.norm(closed)
@@ -260,13 +256,13 @@ def test_c09_travel_time_against_integration_and_uniform_limit():
     near_uniform = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=1e-6)
     for _ in range(100):
         q, p = integrable_pair(rng)
-        t = ray_travel_time(q, p, SSP)
+        t, _ = kernel_pair(q, p, SSP)
         oracle = snell_travel_time_oracle(q, p, SSP)
         worst_oracle = max(worst_oracle, abs(t - oracle) / oracle)
         straight = math.dist(
             (q.x, q.y, q.z), (p.x, p.y, p.z)
         ) / near_uniform.surface_speed_b
-        t_flat = ray_travel_time(q, p, near_uniform)
+        t_flat, _ = kernel_pair(q, p, near_uniform)
         worst_uniform = max(worst_uniform, abs(t_flat - straight) / straight)
     ok = worst_oracle < 1e-6 and worst_uniform < 1e-4
     check(

@@ -13,6 +13,7 @@ from auvgeom.errors import TooFewAnchors
 from auvgeom.estimation import (
     BACKTRACK_LIMIT,
     DAMPING_FLOOR,
+    DEPTH_NOISE_VAR,
     DIVERGENCE_SPAN_FACTOR,
     SSE_SLACK,
     EstimatorConfig,
@@ -20,7 +21,8 @@ from auvgeom.estimation import (
     estimate_trials,
 )
 from auvgeom.fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows, fim
-from auvgeom.geometry import Position, SoundSpeedProfile, ray_travel_time
+from auvgeom.geometry import Position, SoundSpeedProfile
+from adapters import kernel_pair
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
 TRUTH = Position(50.0, 50.0, 50.0)
@@ -33,8 +35,8 @@ def as_stack(anchors, trials=1):
 
 
 def exact_rtt(q, anchors):
-    """One sample of noiseless travel times from the scalar ray formula, (1, N)."""
-    return np.array([[ray_travel_time(q, p, SSP) for p in anchors]])
+    """One sample of noiseless travel times from the kernel, pair by pair, (1, N)."""
+    return np.array([[kernel_pair(q, p, SSP)[0] for p in anchors]])
 
 
 def measure(anchors, noise, trials, seed, truth=TRUTH):
@@ -86,7 +88,7 @@ class TestSimulateMeasurements:
         noise = NoiseModel.constant_variance(1e-15)
         rtt, _ = measure(USC8, noise, 1, seed=0)
         for got, p in zip(rtt[0], USC8):
-            assert got == pytest.approx(ray_travel_time(TRUTH, p, SSP), rel=1e-12)
+            assert got == pytest.approx(kernel_pair(TRUTH, p, SSP)[0], rel=1e-12)
 
     def test_same_seed_identical(self):
         noise = NoiseModel.constant_variance(1e-3)
@@ -99,7 +101,7 @@ class TestSimulateMeasurements:
     def test_noise_moments(self):
         sigma = 1e-3
         noise = NoiseModel.constant_variance(sigma)
-        t0 = ray_travel_time(TRUTH, USC8[0], SSP)
+        t0, _ = kernel_pair(TRUTH, USC8[0], SSP)
         rtt, _ = measure(USC8[:4], noise, 4000, seed=7)
         xi = rtt[:, 0] - t0
         n = len(xi)
@@ -119,7 +121,7 @@ class TestSimulateMeasurements:
         near = Position(60.0, 50.0, 0.0)
         far = Position(5050.0, 50.0, 0.0)
         rtt, _ = measure([near, far, USC8[0], USC8[1]], noise, 2000, seed=11)
-        devs = rtt[:, :2] - [ray_travel_time(TRUTH, p, SSP) for p in (near, far)]
+        devs = rtt[:, :2] - [kernel_pair(TRUTH, p, SSP)[0] for p in (near, far)]
         assert devs[:, 1].std() > 5.0 * devs[:, 0].std()
 
 
@@ -269,8 +271,6 @@ class TestEstimatePosition:
             EstimatorConfig(max_iterations=0)
         with pytest.raises(ValueError):
             EstimatorConfig(position_tolerance=0.0)
-        with pytest.raises(ValueError):
-            EstimatorConfig(depth_weight=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
     max_step = DIVERGENCE_SPAN_FACTOR * np.linalg.norm(
         p_b.max(axis=1) - p_b.min(axis=1), axis=1
     )
-    w_depth = config.depth_weight
+    w_depth = 1.0 / DEPTH_NOISE_VAR
 
     def weighted_sse(q, p, rtt_s, depth_s, sigma2):
         t, _ = _time_and_rows(q, p, ssp)

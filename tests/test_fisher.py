@@ -17,14 +17,14 @@ from auvgeom.fisher import (
     _time_and_rows,
     diagonal_lower_bound,
     fim,
-    jacobian,
-    jacobian_row,
     noise_variance,
 )
-from auvgeom.geometry import Position, SoundSpeedProfile, ray_travel_time
-from oracles import angle_sum_fim, chain_row, closed_row
+from auvgeom.geometry import Position, SoundSpeedProfile
+from adapters import kernel_pair
+from oracles import angle_sum_fim, chain_row, closed_row, log_form_time
 
 SSP = SoundSpeedProfile(1480.0, 0.1)
+NOISE_1MS = NoiseModel.constant_variance(1e-3)
 
 # frozen 50-digit evaluations
 SIGMA2_L2000 = 0.50357016471766688417
@@ -32,15 +32,20 @@ JAC_CANON = (-0.00043385594679723012456, 0.0, 0.00051501212060024318239)
 
 
 def fd_row(q, p, ssp, h=1e-3):
-    """Central finite differences of the travel time, the Jacobian oracle."""
+    """Central finite differences of the kernel's travel time, the Jacobian oracle."""
     out = []
     for axis in range(3):
         delta = [0.0, 0.0, 0.0]
         delta[axis] = h
         hi = Position(q.x + delta[0], q.y + delta[1], q.z + delta[2])
         lo = Position(q.x - delta[0], q.y - delta[1], q.z - delta[2])
-        out.append((ray_travel_time(hi, p, ssp) - ray_travel_time(lo, p, ssp)) / (2 * h))
+        out.append((kernel_pair(hi, p, ssp)[0] - kernel_pair(lo, p, ssp)[0]) / (2 * h))
     return tuple(out)
+
+
+def kernel_rows(q, anchors):
+    """The kernel's (N, 3) Jacobian rows from q to each anchor."""
+    return _time_and_rows(q.as_array(), np.array([p.as_array() for p in anchors]), SSP)[1]
 
 
 def random_scene(rng, n=6, min_d=12.0):
@@ -86,8 +91,10 @@ class TestNoiseVariance:
 
 
 class TestJacobianRow:
+    """The kernel's rows against frozen values, differences and the chain rule."""
+
     def test_canonical_frozen(self):
-        row = jacobian_row(Position(50, 50, 50), Position(92, 50, 0), SSP)
+        _, row = kernel_pair(Position(50, 50, 50), Position(92, 50, 0), SSP)
         assert row[0] == pytest.approx(JAC_CANON[0], rel=1e-12)
         assert abs(row[1]) < 1e-18
         assert row[2] == pytest.approx(JAC_CANON[2], rel=1e-12)
@@ -97,7 +104,7 @@ class TestJacobianRow:
         for _ in range(100):
             q, anchors = random_scene(rng, n=1)
             p = anchors[0]
-            got = jacobian_row(q, p, SSP)
+            _, got = kernel_pair(q, p, SSP)
             want = fd_row(q, p, SSP)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-5, abs=1e-12)
@@ -108,29 +115,33 @@ class TestJacobianRow:
         for _ in range(200):
             q, anchors = random_scene(rng, n=1)
             p = anchors[0]
-            closed = jacobian_row(q, p, SSP)
+            _, closed = kernel_pair(q, p, SSP)
             chain = chain_row(q, p, SSP)
             for c, h in zip(closed, chain):
                 assert h == pytest.approx(c, rel=1e-12, abs=1e-20)
 
     def test_mirrored_anchors_antisymmetric_x(self):
         q = Position(0, 0, 60)
-        row_e = jacobian_row(q, Position(80, 0, 0), SSP)
-        row_w = jacobian_row(q, Position(-80, 0, 0), SSP)
+        _, row_e = kernel_pair(q, Position(80, 0, 0), SSP)
+        _, row_w = kernel_pair(q, Position(-80, 0, 0), SSP)
         assert row_e[0] == pytest.approx(-row_w[0], rel=1e-12)
         assert row_e[2] == pytest.approx(row_w[2], rel=1e-12)
 
     def test_degenerate_vertical(self):
-        with pytest.raises(DegenerateGeometry):
-            jacobian_row(Position(0, 0, 50), Position(0, 0, 0), SSP)
+        q = Position(0, 0, 50)
+        anchors = [Position(0, 0, 0), Position(60, 0, 0), Position(0, 60, 0), Position(-60, 0, 0)]
+        with pytest.raises(DegenerateGeometry, match="anchor 0: zero horizontal range"):
+            fim(q, anchors, SSP, NOISE_1MS)
 
 
 class TestJacobian:
+    """The whole Jacobian: kernel rows over an anchor set, and fim's checks on it."""
+
     def test_too_few(self):
         q = Position(0, 0, 50)
         anchors = [Position(60, 0, 0), Position(0, 60, 0), Position(-60, 0, 0)]
         with pytest.raises(TooFewAnchors):
-            jacobian(q, anchors, SSP)
+            fim(q, anchors, SSP, NOISE_1MS)
 
     def test_error_tagged_with_index(self):
         q = Position(0, 0, 50)
@@ -141,12 +152,12 @@ class TestJacobian:
             Position(-60, 0, 0),
         ]
         with pytest.raises(DegenerateGeometry, match="anchor 2"):
-            jacobian(q, anchors, SSP)
+            fim(q, anchors, SSP, NOISE_1MS)
 
     def test_shape_and_fd(self):
         rng = np.random.default_rng(3)
         q, anchors = random_scene(rng, n=6)
-        rows = jacobian(q, anchors, SSP)
+        rows = kernel_rows(q, anchors)
         assert rows.shape == (6, 3)
         assert np.all(np.isfinite(rows))
         for i, p in enumerate(anchors):
@@ -215,7 +226,7 @@ class TestFim:
         rng = np.random.default_rng(47)
         for _ in range(50):
             q, anchors = random_scene(rng)
-            rows = jacobian(q, anchors, SSP)
+            rows = kernel_rows(q, anchors)
             want = np.array([chain_row(q, p, SSP) for p in anchors])
             gap = np.linalg.norm(rows - want, axis=1)
             assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=1))
@@ -272,7 +283,7 @@ class TestBatchedCore:
         assert t.shape == (5,)
         assert rows.shape == (5, 3)
         for i, p in enumerate(anchors):
-            assert t[i] == pytest.approx(ray_travel_time(q, p, SSP), rel=1e-14)
+            assert t[i] == pytest.approx(log_form_time(q, p, SSP), rel=1e-9)
             want = closed_row(q, p, SSP)
             for j in range(3):
                 assert rows[i, j] == pytest.approx(want[j], rel=1e-12, abs=1e-20)
@@ -283,6 +294,11 @@ class TestBatchedCore:
         t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
         assert math.isnan(t[0]) and np.all(np.isnan(rows[0]))
         assert math.isfinite(t[1]) and np.all(np.isfinite(rows[1]))
+        # a grazing pair (cos(theta + alpha) ~ 1e-13) and a coincident pair
+        q_xyz = np.array([[0.0, 0.0, 1000.0], [7.0, -3.0, 20.0]])
+        p_xyz = np.array([[[1e-10, 0.0, 0.0]], [[7.0, -3.0, 20.0]]])
+        t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
+        assert np.all(np.isnan(t)) and np.all(np.isnan(rows))
 
     def test_broadcast_trials(self):
         rng = np.random.default_rng(43)
@@ -293,6 +309,8 @@ class TestBatchedCore:
         t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
         assert t.shape == (7, 4)
         assert rows.shape == (7, 4, 3)
-        q0 = Position(*q_xyz[3])
-        p0 = Position(*p_xyz[3, 2])
-        assert t[3, 2] == pytest.approx(ray_travel_time(q0, p0, SSP), rel=1e-14)
+        # one entry of the batch against the kernel on that pair alone
+        t0, row0 = kernel_pair(Position(*q_xyz[3]), Position(*p_xyz[3, 2]), SSP)
+        assert t[3, 2] == pytest.approx(t0, rel=1e-14)
+        for j in range(3):
+            assert rows[3, 2, j] == pytest.approx(row0[j], rel=1e-14)

@@ -1,3 +1,6 @@
+"""The profile and position types, the kernel's travel times against
+independent references, and the per-pair angles the oracles are built from."""
+
 import math
 
 import numpy as np
@@ -5,23 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auvgeom.errors import (
-    GrazingRay,
+from auvgeom.geometry import Position, SoundSpeedProfile
+from adapters import kernel_pair
+from oracles import (
     NoEigenray,
-    VerticalRay,
-    ZeroHorizontalRange,
-)
-from auvgeom.geometry import (
-    Position,
-    SoundSpeedProfile,
-    arc_length,
-    bearing,
-    deviation_angle,
-    elevation_angle,
-    horizontal_range,
-    ray_travel_time,
+    _arc_length,
+    _bearing,
+    _deviation,
+    _elevation,
+    _horizontal_range,
+    log_form_time,
     snell_travel_time_oracle,
-    sound_speed,
 )
 
 SSP = SoundSpeedProfile(1480.0, 0.1)
@@ -31,6 +28,19 @@ SSP = SoundSpeedProfile(1480.0, 0.1)
 T_CANONICAL = 0.044046779716597165669  # q=(50,50,50), p=(92,50,0)
 T_DEEP = 0.27749628256273256284  # q=(200,-100,300), p=(-50,40,0)
 T_CONST_LIMIT = 0.067570943578688586973  # b=1480, a=1e-6, d=1, dz=100
+
+
+def travel_time(q, p, ssp):
+    return kernel_pair(q, p, ssp)[0]
+
+
+def local_speed(ssp, z):
+    """1 m over the kernel's travel time along a level 1 m ray at depth z.
+
+    The ray deviates from its chord by alpha ~ a / (2 C(z)), so this is
+    C(z) up to a relative O(alpha^2) below 1e-9.
+    """
+    return 1.0 / travel_time(Position(0.0, 0.0, z), Position(1.0, 0.0, z), ssp)
 
 
 def scene_positions(min_z=0.0, max_z=1000.0):
@@ -43,7 +53,7 @@ def scene_positions(min_z=0.0, max_z=1000.0):
 def separated_pairs(draw, min_d=10.0):
     q = draw(scene_positions())
     p = draw(scene_positions())
-    d = horizontal_range(q, p)
+    d = _horizontal_range(q, p)
     if d < min_d:
         # push p horizontally away from q instead of rejecting the draw
         phi = draw(st.floats(-math.pi, math.pi))
@@ -54,11 +64,12 @@ def separated_pairs(draw, min_d=10.0):
 
 class TestSoundSpeed:
     def test_surface(self):
-        assert sound_speed(SSP, 0.0) == 1480.0
+        assert local_speed(SSP, 0.0) == pytest.approx(1480.0, rel=1e-9)
 
     def test_linear(self):
-        assert sound_speed(SSP, 50.0) == pytest.approx(1485.0, abs=1e-12)
-        assert sound_speed(SoundSpeedProfile(1500.0, 0.2), 1000.0) == pytest.approx(1700.0)
+        assert local_speed(SSP, 50.0) == pytest.approx(1485.0, rel=1e-9)
+        ssp = SoundSpeedProfile(1500.0, 0.2)
+        assert local_speed(ssp, 1000.0) == pytest.approx(1700.0, rel=1e-9)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -66,80 +77,68 @@ class TestSoundSpeed:
         with pytest.raises(ValueError):
             SoundSpeedProfile(1480.0, 0.0)
 
-    def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            sound_speed(SSP, -20000.0)
-
 
 class TestHorizontalRangeAndBearing:
     def test_coincident_horizontal(self):
-        assert horizontal_range(Position(50, 50, 50), Position(50, 50, 0)) == 0.0
+        assert _horizontal_range(Position(50, 50, 50), Position(50, 50, 0)) == 0.0
 
     def test_three_four_five(self):
-        assert horizontal_range(Position(3, 4, 10), Position(0, 0, 0)) == pytest.approx(5.0)
+        assert _horizontal_range(Position(3, 4, 10), Position(0, 0, 0)) == pytest.approx(5.0)
 
     def test_bearing_axes(self):
-        assert bearing(Position(1, 0, 5), Position(0, 0, 0)) == 0.0
-        assert bearing(Position(0, 1, 5), Position(0, 0, 0)) == pytest.approx(math.pi / 2)
-        assert bearing(Position(-1, -1, 5), Position(0, 0, 0)) == pytest.approx(-3 * math.pi / 4)
-
-    def test_bearing_zero_range(self):
-        with pytest.raises(ZeroHorizontalRange):
-            bearing(Position(0, 0, 50), Position(0, 0, 0))
+        assert _bearing(Position(1, 0, 5), Position(0, 0, 0)) == 0.0
+        assert _bearing(Position(0, 1, 5), Position(0, 0, 0)) == pytest.approx(math.pi / 2)
+        assert _bearing(Position(-1, -1, 5), Position(0, 0, 0)) == pytest.approx(-3 * math.pi / 4)
 
     @given(separated_pairs())
     def test_bearing_interval(self, pair):
         q, p = pair
-        phi = bearing(q, p)
+        phi = _bearing(q, p)
         assert -math.pi < phi <= math.pi
 
 
 class TestAngles:
     def test_elevation_horizontal(self):
-        assert elevation_angle(Position(10, 0, 5), Position(0, 0, 5)) == 0.0
+        assert _elevation(Position(10, 0, 5), Position(0, 0, 5)) == 0.0
 
     def test_elevation_45(self):
-        assert elevation_angle(Position(0, 0, 50), Position(50, 0, 0)) == pytest.approx(math.pi / 4)
+        assert _elevation(Position(0, 0, 50), Position(50, 0, 0)) == pytest.approx(math.pi / 4)
 
     def test_elevation_canonical(self):
-        got = elevation_angle(Position(50, 50, 50), Position(92, 50, 0))
+        got = _elevation(Position(50, 50, 50), Position(92, 50, 0))
         assert got == pytest.approx(math.atan(50.0 / 42.0), rel=1e-15)
 
-    def test_elevation_vertical(self):
-        with pytest.raises(VerticalRay):
-            elevation_angle(Position(0, 0, 50), Position(0, 0, 0))
-
     def test_deviation_vertical_is_zero(self):
-        assert deviation_angle(Position(0, 0, 50), Position(0, 0, 0), SSP) == 0.0
+        assert _deviation(Position(0, 0, 50), Position(0, 0, 0), SSP) == 0.0
 
     def test_deviation_canonical(self):
-        got = deviation_angle(Position(50, 50, 50), Position(92, 50, 0), SSP)
+        got = _deviation(Position(50, 50, 50), Position(92, 50, 0), SSP)
         assert got == pytest.approx(math.atan(42.0 / 29650.0), rel=1e-15)
 
     def test_deviation_small_steepness(self):
         ssp = SoundSpeedProfile(1480.0, 1e-6)
-        assert deviation_angle(Position(0, 0, 50), Position(100, 0, 0), ssp) < 1e-7
+        assert _deviation(Position(0, 0, 50), Position(100, 0, 0), ssp) < 1e-7
 
     @given(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0), st.floats(0.0, 500.0), st.floats(0.0, 500.0))
     def test_deviation_monotone_in_d(self, d1, d2, zq, zp):
         lo, hi = sorted((d1, d2))
-        a_lo = deviation_angle(Position(lo, 0, zq), Position(0, 0, zp), SSP)
-        a_hi = deviation_angle(Position(hi, 0, zq), Position(0, 0, zp), SSP)
+        a_lo = _deviation(Position(lo, 0, zq), Position(0, 0, zp), SSP)
+        a_hi = _deviation(Position(hi, 0, zq), Position(0, 0, zp), SSP)
         assert a_lo <= a_hi
         assert 0.0 <= a_lo < math.pi / 2
 
 
-
 class TestTravelTime:
-    def test_coincident_is_zero(self):
-        assert ray_travel_time(Position(7, -3, 20), Position(7, -3, 20), SSP) == 0.0
+    """The kernel's travel time against the frozen constants, the limits
+    and the ln form; its undefined pairs are in
+    ``test_fisher.py::TestBatchedCore::test_invalid_rows_nan``."""
 
     def test_canonical_frozen(self):
-        t = ray_travel_time(Position(50, 50, 50), Position(92, 50, 0), SSP)
+        t = travel_time(Position(50, 50, 50), Position(92, 50, 0), SSP)
         assert t == pytest.approx(T_CANONICAL, rel=1e-12)
 
     def test_deep_frozen(self):
-        t = ray_travel_time(Position(200, -100, 300), Position(-50, 40, 0), SSP)
+        t = travel_time(Position(200, -100, 300), Position(-50, 40, 0), SSP)
         assert t == pytest.approx(T_DEEP, rel=1e-12)
 
     def test_constant_speed_limit(self):
@@ -147,7 +146,7 @@ class TestTravelTime:
         # cancellations; accuracy here is ~1e-7, well inside the 1e-4
         # contract for this regime
         ssp = SoundSpeedProfile(1480.0, 1e-6)
-        t = ray_travel_time(Position(0, 0, 100), Position(1, 0, 0), ssp)
+        t = travel_time(Position(0, 0, 100), Position(1, 0, 0), ssp)
         assert t == pytest.approx(T_CONST_LIMIT, rel=1e-6)
         r = math.hypot(1.0, 100.0)
         assert abs(t - r / 1480.0) / t < 1e-4
@@ -157,48 +156,32 @@ class TestTravelTime:
         # O(a^2) model error stays above the float cancellation floor on
         # all three rungs
         q, p = Position(0, 0, 30000.0), Position(5000.0, 0, 0)
-        r = math.hypot(horizontal_range(q, p), q.z - p.z)
+        r = math.hypot(_horizontal_range(q, p), q.z - p.z)
         errs = []
         for a in (1e-4, 1e-5, 1e-6):
             ssp = SoundSpeedProfile(1480.0, a)
-            b_mid = sound_speed(ssp, (q.z + p.z) / 2)
-            t = ray_travel_time(q, p, ssp)
+            b_mid = ssp.surface_speed_b + a * (q.z + p.z) / 2
+            t = travel_time(q, p, ssp)
             errs.append(abs(t - r / b_mid) / t)
         assert errs[0] > errs[1] > errs[2]
-
-    def test_vertical_raises(self):
-        with pytest.raises(VerticalRay):
-            ray_travel_time(Position(0, 0, 100), Position(0, 0, 0), SSP)
-
-    def test_grazing_raises(self):
-        with pytest.raises(GrazingRay):
-            ray_travel_time(Position(0, 0, 1000), Position(1e-10, 0, 0), SSP)
 
     @given(separated_pairs())
     def test_reciprocity(self, pair):
         q, p = pair
-        t1 = ray_travel_time(q, p, SSP)
-        t2 = ray_travel_time(p, q, SSP)
+        t1 = travel_time(q, p, SSP)
+        t2 = travel_time(p, q, SSP)
         assert t2 == pytest.approx(t1, rel=1e-12)
 
     @given(separated_pairs())
     def test_positive(self, pair):
         q, p = pair
-        assert ray_travel_time(q, p, SSP) > 0.0
+        assert travel_time(q, p, SSP) > 0.0
 
     @given(separated_pairs())
     def test_matches_log_form(self, pair):
         # the documented ln((1+sin)/cos) form, written out directly
         q, p = pair
-        d = horizontal_range(q, p)
-        theta = elevation_angle(q, p)
-        alpha = deviation_angle(q, p, SSP)
-
-        def F(x):
-            return math.log((1 + math.sin(x)) / math.cos(x))
-
-        expected = (F(theta + alpha) - F(theta - alpha)) / SSP.steepness_a
-        assert ray_travel_time(q, p, SSP) == pytest.approx(expected, rel=1e-9)
+        assert travel_time(q, p, SSP) == pytest.approx(log_form_time(q, p, SSP), rel=1e-9)
 
 
 class TestRayGeometry:
@@ -206,38 +189,39 @@ class TestRayGeometry:
 
     def test_fields_consistent(self):
         q, p = Position(50, 50, 50), Position(92, 50, 0)
-        d = horizontal_range(q, p)
+        d = _horizontal_range(q, p)
         assert d == pytest.approx(42.0)
-        assert bearing(q, p) == pytest.approx(math.pi)
-        assert elevation_angle(q, p) == pytest.approx(math.atan(50.0 / 42.0))
-        assert deviation_angle(q, p, SSP) == pytest.approx(math.atan(42.0 / 29650.0))
-        assert ray_travel_time(q, p, SSP) == pytest.approx(T_CANONICAL, rel=1e-12)
+        assert _bearing(q, p) == pytest.approx(math.pi)
+        assert _elevation(q, p) == pytest.approx(math.atan(50.0 / 42.0))
+        assert _deviation(q, p, SSP) == pytest.approx(math.atan(42.0 / 29650.0))
+        assert travel_time(q, p, SSP) == pytest.approx(T_CANONICAL, rel=1e-12)
 
     def test_near_vertical_rejected(self):
-        with pytest.raises(ZeroHorizontalRange):
-            bearing(Position(50, 50, 50), Position(50 + 1e-13, 50, 0))
+        # below the 1e-12 m horizontal tolerance the kernel has no closed form
+        t, row = kernel_pair(Position(50, 50, 50), Position(50 + 1e-13, 50, 0), SSP)
+        assert math.isnan(t) and np.all(np.isnan(row))
 
     @given(separated_pairs())
     def test_invariants(self, pair):
         q, p = pair
-        d = horizontal_range(q, p)
-        theta = elevation_angle(q, p)
-        alpha = deviation_angle(q, p, SSP)
+        d = _horizontal_range(q, p)
+        theta = _elevation(q, p)
+        alpha = _deviation(q, p, SSP)
         assert math.hypot(d, q.z - p.z) >= d
         assert 0.0 <= alpha < math.pi / 2
         assert -math.pi / 2 < theta < math.pi / 2
         assert abs(theta + alpha) < math.pi / 2
         assert abs(theta - alpha) < math.pi / 2
-        assert ray_travel_time(q, p, SSP) > 0
+        assert travel_time(q, p, SSP) > 0
 
 
 class TestArcLength:
     def test_vertical(self):
-        assert arc_length(Position(0, 0, 100), Position(0, 0, 0), SSP) == pytest.approx(100.0)
+        assert _arc_length(Position(0, 0, 100), Position(0, 0, 0), SSP) == pytest.approx(100.0)
 
     def test_slightly_exceeds_chord(self):
         q, p = Position(50, 50, 50), Position(92, 50, 0)
-        s = arc_length(q, p, SSP)
+        s = _arc_length(q, p, SSP)
         r = math.hypot(42.0, 50.0)
         assert s >= r
         assert s == pytest.approx(r, rel=1e-5)  # alpha ~ 1.4e-3 rad
@@ -246,7 +230,7 @@ class TestArcLength:
 class TestSnellOracle:
     def test_canonical_agreement(self):
         q, p = Position(50, 50, 50), Position(92, 50, 0)
-        t_closed = ray_travel_time(q, p, SSP)
+        t_closed = travel_time(q, p, SSP)
         t_oracle = snell_travel_time_oracle(q, p, SSP)
         assert abs(t_oracle - t_closed) / t_closed < 1e-6
 
@@ -298,6 +282,6 @@ class TestSnellOracle:
             d = dz / math.tan(min(max(floor * 1.5, 0.7), 1.4))
         ssp = SoundSpeedProfile(b, a)
         q, p = Position(0, 0, dz + 3.0), Position(d, 0, 3.0)
-        t_closed = ray_travel_time(q, p, ssp)
+        t_closed = travel_time(q, p, ssp)
         t_oracle = snell_travel_time_oracle(q, p, ssp)
         assert abs(t_oracle - t_closed) / t_closed < 1e-6
