@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auvgeom.errors import DegenerateGeometry
+from auvgeom.fisher import NoiseModel, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
 from adapters import kernel_pair
 from oracles import (
@@ -41,6 +43,14 @@ def local_speed(ssp, z):
     C(z) up to a relative O(alpha^2) below 1e-9.
     """
     return 1.0 / travel_time(Position(0.0, 0.0, z), Position(1.0, 0.0, z), ssp)
+
+
+def degenerate_anchor_error(q, p):
+    """fim's DegenerateGeometry for p as anchor 0 among three good anchors."""
+    good = [Position(q.x + 60, q.y, 0), Position(q.x, q.y + 60, 0), Position(q.x - 60, q.y, 0)]
+    with pytest.raises(DegenerateGeometry) as info:
+        fim(q, [p, *good], SSP, NoiseModel.constant_variance(1e-3))
+    return str(info.value)
 
 
 def scene_positions(min_z=0.0, max_z=1000.0):
@@ -90,6 +100,14 @@ class TestHorizontalRangeAndBearing:
         assert _bearing(Position(0, 1, 5), Position(0, 0, 0)) == pytest.approx(math.pi / 2)
         assert _bearing(Position(-1, -1, 5), Position(0, 0, 0)) == pytest.approx(-3 * math.pi / 4)
 
+    def test_bearing_zero_range(self):
+        # no bearing at zero horizontal range: the kernel gives NaN and
+        # fim names the anchor and the reason
+        q, p = Position(0, 0, 50), Position(0, 0, 0)
+        t, row = kernel_pair(q, p, SSP)
+        assert math.isnan(t) and np.all(np.isnan(row))
+        assert degenerate_anchor_error(q, p) == "anchor 0: zero horizontal range"
+
     @given(separated_pairs())
     def test_bearing_interval(self, pair):
         q, p = pair
@@ -107,6 +125,13 @@ class TestAngles:
     def test_elevation_canonical(self):
         got = _elevation(Position(50, 50, 50), Position(92, 50, 0))
         assert got == pytest.approx(math.atan(50.0 / 42.0), rel=1e-15)
+
+    def test_elevation_vertical(self):
+        # a vertical pair is at elevation pi/2, where the closed form has
+        # no row: the kernel gives NaN for both the time and the row
+        q, p = Position(0, 0, 50), Position(0, 0, 0)
+        t, row = kernel_pair(q, p, SSP)
+        assert math.isnan(t) and np.all(np.isnan(row))
 
     def test_deviation_vertical_is_zero(self):
         assert _deviation(Position(0, 0, 50), Position(0, 0, 0), SSP) == 0.0
@@ -130,8 +155,26 @@ class TestAngles:
 
 class TestTravelTime:
     """The kernel's travel time against the frozen constants, the limits
-    and the ln form; its undefined pairs are in
-    ``test_fisher.py::TestBatchedCore::test_invalid_rows_nan``."""
+    and the ln form, and its undefined pairs."""
+
+    def test_coincident_is_zero(self):
+        # the time shrinks to zero as the points close up, at the local
+        # speed C(20) = 1482 m/s; at exact coincidence it is undefined
+        q = Position(7, -3, 20)
+        t = travel_time(q, Position(7 + 1e-6, -3, 20), SSP)
+        assert t == pytest.approx(1e-6 / 1482.0, rel=1e-6)
+        assert math.isnan(travel_time(q, q, SSP))
+
+    def test_vertical_raises(self):
+        q, p = Position(0, 0, 100), Position(0, 0, 0)
+        assert math.isnan(travel_time(q, p, SSP))
+        assert degenerate_anchor_error(q, p) == "anchor 0: zero horizontal range"
+
+    def test_grazing_raises(self):
+        # cos(theta + alpha) ~ 1e-13, past the horizontal tolerance
+        q, p = Position(0, 0, 1000), Position(1e-10, 0, 0)
+        assert math.isnan(travel_time(q, p, SSP))
+        assert degenerate_anchor_error(q, p).startswith("anchor 0: grazing ray")
 
     def test_canonical_frozen(self):
         t = travel_time(Position(50, 50, 50), Position(92, 50, 0), SSP)
