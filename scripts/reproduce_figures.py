@@ -6,10 +6,13 @@ under both noise models, RMSE vs timing noise, RMSE vs movement radius)
 and drops fig{name}.csv / fig{name}.svg into the output directory.
 
 The Monte Carlo figures take a few minutes at the default 2000 trials;
-pass --trials 200 for a quick pass, --workers to parallelize.
+pass --trials 200 for a quick pass.  The sweep cells run on as many
+worker threads as the process may use CPUs, unless --workers says
+otherwise; the output is the same for any worker count.
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
@@ -25,6 +28,13 @@ from auvgeom.harness import (
 )
 
 
+def usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -34,7 +44,10 @@ def parse_args(argv):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument(
+        "--workers", type=int, default=usable_cpus(),
+        help="sweep worker threads (default: the CPUs this process may use)",
+    )
     return parser.parse_args(argv)
 
 

@@ -22,6 +22,17 @@ travel times and Jacobian rows at an accepted candidate become the next
 iterate's, so the kernel runs once on the starting points and then only
 on candidates.  A normal matrix counts as singular under the same
 screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
+
+The normal equations come from the N timing rows alone: the six
+distinct entries of J^T W J and the three of J^T W r are summed row by
+row in order, starting from zero, and the depth pseudo-row (0, 0, sw)
+adds its terms last (sw^2 to the zz entry, sw times the depth residual
+to the z entry, the squared depth residual to the cost).  That is the
+order of one summation over all N + 1 rows, so the result is the same
+to the bit without ever building the augmented matrix.  A layout that
+every sample shares stays one (N, 3) array throughout: the kernel and
+the noise model broadcast it against the samples' points instead of
+copying it per sample.
 """
 
 from __future__ import annotations
@@ -72,6 +83,9 @@ class EstimatorConfig:
 _HALVING_SCALES = tuple(
     np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((1, 2), (2, 4), (4, 8), (8, BACKTRACK_LIMIT))
 )
+# J^T W J, row-major, from the 00, 11, 22, 01, 12 and 02 sums that
+# _estimate_batch accumulates
+_JTJ_ENTRIES = [0, 3, 5, 3, 1, 4, 5, 4, 2]
 
 
 def _weighted_sse(
@@ -86,7 +100,10 @@ def _weighted_sse(
     # sigma2 is frozen at the iterate that produced the step, so the line
     # search descends a fixed objective; re-deriving weights from the
     # candidate would let a good step raise the cost and stall the solver.
-    sse = np.sum((rtt - t) ** 2 / sigma2, axis=-1)
+    r = rtt - t
+    r *= r
+    r /= sigma2
+    sse = np.sum(r, axis=-1)
     return sse + w_depth * (depth - q[..., 2]) ** 2
 
 
@@ -101,21 +118,21 @@ def _estimate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every sample's Gauss-Newton iteration in lockstep from q0.
 
-    ``p_b`` is the (batch, N, 3) anchor stack and ``q0`` the (batch, 3)
-    starting points.  Returns (q, iterations, converged, singular).  A
-    sample leaves the active set when it converges, diverges, or hits a
-    singular normal matrix; finished samples are frozen while the rest
-    continue.
+    ``p_b`` is the (batch, N, 3) anchor stack, or the (N, 3) layout every
+    sample shares, and ``q0`` the (batch, 3) starting points.  Returns
+    (q, iterations, converged, singular).  A sample leaves the active set
+    when it converges, diverges, or hits a singular normal matrix;
+    finished samples are frozen while the rest continue.
 
     The travel times and Jacobian rows at every sample's current point
     are kept alongside it: the kernel runs once on the starting points,
     and afterwards only on line-search candidates, whose output becomes
     the next iterate's when the candidate is accepted.
     """
-    batch = len(rtt)
-    max_step = DIVERGENCE_SPAN_FACTOR * np.linalg.norm(
-        p_b.max(axis=1) - p_b.min(axis=1), axis=1
-    )
+    batch, n = rtt.shape
+    shared = p_b.ndim == 2
+    span = np.linalg.norm(p_b.max(axis=-2) - p_b.min(axis=-2), axis=-1)
+    max_step = np.broadcast_to(DIVERGENCE_SPAN_FACTOR * span, (batch,))
     w_depth = 1.0 / DEPTH_NOISE_VAR
     sw = math.sqrt(w_depth)
 
@@ -133,22 +150,35 @@ def _estimate_batch(
             break
         idx = np.flatnonzero(active)
         qa = q[idx]
-        sigma2 = _sigma2(qa, p_b[idx], ssp, noise)
+        sigma2 = _sigma2(qa, p_b if shared else p_b[idx], ssp, noise)
         sigma = np.sqrt(sigma2)
+        # whitened timing rows with the sample index last, (N, 3, active),
+        # and the N timing residuals followed by the depth residual
+        design = np.empty((n, 3, len(idx)))
+        resid = np.empty((len(idx), n + 1))
+        # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
+        # then those of J^T W r
+        prod = np.empty((n, 9, len(idx)))
         # an overflowed variance gives NaN residuals, screened out as singular
-        with np.errstate(invalid="ignore"):
-            design = rows_q[idx] / sigma[..., None]
-            resid = (rtt[idx] - t_q[idx]) / sigma
-
-        # append the depth pseudo-measurement row
-        depth_row = np.zeros((len(idx), 1, 3))
-        depth_row[:, 0, 2] = sw
-        design = np.concatenate([design, depth_row], axis=1)
-        resid = np.concatenate([resid, (sw * (depth[idx] - qa[:, 2]))[:, None]], axis=1)
-
-        cur_sse = np.sum(resid**2, axis=1)
-        jtj = np.einsum("bni,bnj->bij", design, design)
-        jtr = np.einsum("bni,bn->bi", design, resid)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.divide(rows_q[idx].transpose(1, 2, 0), sigma.T[:, None], out=design)
+            np.divide(rtt[idx] - t_q[idx], sigma, out=resid[:, :n])
+            resid[:, n] = sw * (depth[idx] - qa[:, 2])
+            cur_sse = np.sum(resid**2, axis=1)
+            np.multiply(design, design, out=prod[:, :3])
+            np.multiply(design[:, :2], design[:, 1:], out=prod[:, 3:5])
+            np.multiply(design[:, 0], design[:, 2], out=prod[:, 5])
+            np.multiply(design, resid[:, :n].T[:, None], out=prod[:, 6:])
+            # summed from zero over the timing rows in order, then the
+            # depth pseudo-row (0, 0, sw): the order of one sum over all
+            # N + 1 rows, so the depth row is never built
+            acc = np.zeros((9, len(idx)))
+            for row in prod:
+                acc += row
+            acc[2] += sw * sw
+            acc[8] += sw * resid[:, n]
+        jtj = acc[_JTJ_ENTRIES].T.reshape(-1, 3, 3)
+        jtr = acc[6:].T
         bad = _ill_conditioned(jtj)
         if bad.any():
             singular[idx[bad]] = True
@@ -161,12 +191,10 @@ def _estimate_batch(
         iterations[sub] += 1
 
         reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
-        gamma[sub] = np.where(
-            reversed_dir,
-            np.maximum(gamma[sub] * 0.5, DAMPING_FLOOR),
-            np.minimum(gamma[sub] * 2.0, 1.0),
-        )
-        delta = delta * gamma[sub][:, None]
+        g = gamma[sub]
+        g = np.where(reversed_dir, np.maximum(g * 0.5, DAMPING_FLOOR), np.minimum(g * 2.0, 1.0))
+        gamma[sub] = g
+        delta *= g[:, None]
         step_norm = np.linalg.norm(delta, axis=1)
         runaway = step_norm > max_step[sub]
         if runaway.any():
@@ -186,7 +214,7 @@ def _estimate_batch(
         # each group of halved steps costs one kernel call over the
         # samples it still has to place
         q0 = q[sub]
-        p_s = p_b[sub]
+        p_s = p_b if shared else p_b[sub]
         cand = q0 + delta
         t_c, rows_c = _time_and_rows(cand, p_s, ssp)
         accepted = _weighted_sse(t_c, cand, rtt[sub], depth[sub], frozen_s2, w_depth) <= limit
@@ -198,7 +226,7 @@ def _estimate_batch(
             if not rest.size:
                 break
             cand = q0[rest, None] + scales[:, None] * delta[rest, None]
-            t_c, rows_c = _time_and_rows(cand, p_s[rest, None], ssp)
+            t_c, rows_c = _time_and_rows(cand, p_s if shared else p_s[rest, None], ssp)
             rs = sub[rest]
             ok = _weighted_sse(
                 t_c, cand, rtt[rs, None], depth[rs, None], frozen_s2[rest, None], w_depth
@@ -254,6 +282,9 @@ def estimate_trials(
     q0 = np.empty((batch, 3))
     q0[:, :2] = p_b[:, :, :2].mean(axis=1)
     q0[:, 2] = depth
+    if batch and p_b.strides[0] == 0:
+        # one layout broadcast over the samples goes on as its (N, 3) array
+        p_b = p_b[0]
     q, iters, conv, singular = _estimate_batch(
         rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0
     )

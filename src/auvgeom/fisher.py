@@ -134,7 +134,10 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
     (t, rows) with shapes (..., N) and (..., N, 3).  Entries are NaN
     wherever the pair is vertical, grazing, or has |cos^2(theta) -
     sin^2(alpha)| < 1e-12, so the caller can treat invalid geometry as
-    an infinite-cost region.
+    an infinite-cost region.  That difference is evaluated as its
+    product form cos(theta + alpha) * cos(theta - alpha), from the two
+    cosines the grazing test takes, and only on pairs with
+    |theta| + alpha > 1.5: everywhere else both cosines exceed 0.07.
     """
     b = ssp.surface_speed_b
     a = ssp.steepness_a
@@ -147,31 +150,37 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
         dz = zq - zp
         r = np.hypot(d, dz)
         axial = 2.0 * b / a + zq + zp
-        theta = np.arctan2(dz, d)
-        alpha = np.arctan2(d, axial)
+        # each intermediate is written over one that is no longer needed:
+        # fewer and smaller temporaries make the large batches cheaper
+        theta = np.arctan2(dz, d, out=dz)
+        alpha = np.arctan2(d, axial, out=axial)
         hi = theta + alpha
-        lo = theta - alpha
-        cos_hi = np.cos(hi)
-        cos_lo = np.cos(lo)
-        denom = np.cos(theta) ** 2 - np.sin(alpha) ** 2
-        bad = (
-            (d <= COINCIDENT_TOL)
-            | (cos_hi <= 1e-12)
-            | (cos_lo <= 1e-12)
-            | (np.abs(denom) < DEGENERACY_TOL)
-        )
-        t = (np.arcsinh(np.tan(hi)) - np.arcsinh(np.tan(lo))) / a
-        scale = 2.0 * np.sin(alpha) / (a * r)
-        rows = np.stack(
-            [
-                scale * dx / d,
-                scale * dy / d,
-                scale * np.tan(lo),
-            ],
-            axis=-1,
-        )
-        t = np.where(bad, np.nan, t)
-        rows = np.where(bad[..., None], np.nan, rows)
+        bad = d <= COINCIDENT_TOL
+        # alpha >= 0, so |theta| + alpha is the larger of |hi| and |lo|
+        steep = np.abs(theta) + alpha > 1.5
+        lo = np.subtract(theta, alpha, out=theta)
+        if steep.any():
+            cos_hi = np.cos(hi[steep])
+            cos_lo = np.cos(lo[steep])
+            bad[steep] |= (
+                (cos_hi <= 1e-12)
+                | (cos_lo <= 1e-12)
+                | (np.abs(cos_hi * cos_lo) < DEGENERACY_TOL)
+            )
+        tan_lo = np.tan(lo, out=lo)
+        t = np.arcsinh(np.tan(hi, out=hi), out=hi)
+        t -= np.arcsinh(tan_lo)
+        t /= a
+        scale = np.sin(alpha, out=alpha)
+        scale *= 2.0
+        scale /= a * r
+        rows = np.empty(t.shape + (3,))
+        np.divide(np.multiply(scale, dx, out=dx), d, out=rows[..., 0])
+        np.divide(np.multiply(scale, dy, out=dy), d, out=rows[..., 1])
+        np.multiply(scale, tan_lo, out=rows[..., 2])
+        if bad.any():
+            t[bad] = np.nan
+            rows[bad] = np.nan
     return t, rows
 
 
@@ -194,10 +203,18 @@ def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise:
     bent-ray arc length r * alpha / sin(alpha) when the model asks for
     it (the chord itself below alpha = 1e-9).  Returns shape (..., N).
     """
-    diff = q_xyz[..., None, :] - p_xyz
-    l = np.sqrt(np.sum(diff ** 2, axis=-1))
+    if noise.kind == KIND_CONSTANT:
+        shape = np.broadcast_shapes(np.shape(q_xyz)[:-1] + (1,), np.shape(p_xyz)[:-1])
+        return np.full(shape, noise.sigma ** 2)
+    dx = q_xyz[..., None, 0] - p_xyz[..., 0]
+    dy = q_xyz[..., None, 1] - p_xyz[..., 1]
+    dz = q_xyz[..., None, 2] - p_xyz[..., 2]
+    l = dx * dx
+    l += dy * dy
+    l += dz * dz
+    np.sqrt(l, out=l)
     if noise.use_arc_length:
-        d = np.hypot(diff[..., 0], diff[..., 1])
+        d = np.hypot(dx, dy)
         axial = 2.0 * ssp.surface_speed_b / ssp.steepness_a + q_xyz[..., None, 2] + p_xyz[..., 2]
         alpha = np.arctan2(d, axial)
         l = l * np.where(alpha > 1e-9, alpha / np.where(alpha > 0, np.sin(alpha), 1.0), 1.0)

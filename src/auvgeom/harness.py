@@ -316,11 +316,12 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
 
 def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> Row:
     # a row before any result: NaN estimates, nothing diverged
+    dep = s.deployment
     return Row(
         axis_name=axis_name,
         axis_value=axis_value,
         scheme=scheme,
-        n_anchors=getattr(s.deployment, "n", 0),
+        n_anchors=len(dep.anchors) if isinstance(dep, FixedAnchors) else dep.n,
         k=float("nan"),
         rmse_m=float("nan"),
         trace_crlb_m2=float("nan"),

@@ -473,6 +473,51 @@ class TestBatchMatchesReference:
         assert singular == 10
 
 
+class TestSharedLayout:
+    """One (N, 3) layout shared by every sample, never copied per sample.
+
+    It must give exactly what its materialized (batch, N, 3) copy gives,
+    through _estimate_batch and through estimate_trials, which hands a
+    broadcast layout on as the shared array.
+    """
+
+    def check(self, rtt, depth, anchors, noise):
+        layout = np.array([p.as_array() for p in anchors])
+        stack = np.array(np.broadcast_to(layout, (len(rtt), *layout.shape)))
+        q0 = depth_anchored_start(depth, stack)
+        config = EstimatorConfig()
+        names = ("q", "iterations", "converged", "singular")
+        shared = _estimate_batch(rtt, depth, layout, SSP, noise, config, q0)
+        copied = _estimate_batch(rtt, depth, stack, SSP, noise, config, q0)
+        for name, s, c in zip(names, shared, copied):
+            np.testing.assert_array_equal(s, c, err_msg=name)
+        broadcast = estimate_trials(rtt, depth, np.broadcast_to(layout, stack.shape), SSP, noise)
+        for name, s, c in zip(names, broadcast, estimate_trials(rtt, depth, stack, SSP, noise)):
+            np.testing.assert_array_equal(s, c, err_msg=name)
+        return shared
+
+    def test_cube_batch_with_distance_weights(self):
+        cube = cube_positions(Position(50.0, 50.0, 25.0), 100.0, 8)
+        noise = NoiseModel.distance_dependent()
+        rtt, depth = measure(cube, noise, 300, seed=5)
+        q, iterations, converged, singular = self.check(rtt, depth, cube, noise)
+        assert converged.sum() > 250 and not singular.any()
+        assert iterations.max() > iterations.min()
+
+    def test_empty_batch(self):
+        q, iterations, converged, singular = self.check(
+            np.empty((0, 8)), np.empty(0), USC8, NOISE_1MS
+        )
+        assert q.shape == (0, 3) and iterations.size == converged.size == singular.size == 0
+
+    def test_all_singular_batch(self):
+        # anchors and AUV share one vertical plane: y is unobservable
+        plane = [Position(x, 50.0, 0.0) for x in (90.0, 140.0, -10.0, -60.0)]
+        rtt, depth = measure(plane, NOISE_1MS, 20, seed=6)
+        q, iterations, converged, singular = self.check(rtt, depth, plane, NOISE_1MS)
+        assert singular.all() and not converged.any() and not iterations.any()
+
+
 class TestConditionScreen:
     def test_flags_what_eigvalsh_flags(self):
         rng = np.random.default_rng(1)

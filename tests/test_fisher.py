@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from auvgeom.errors import (
     ZeroDiagonal,
 )
 from auvgeom.fisher import (
+    DEGENERACY_TOL,
     FimResult,
     NoiseModel,
     _time_and_rows,
@@ -19,9 +21,17 @@ from auvgeom.fisher import (
     fim,
     noise_variance,
 )
-from auvgeom.geometry import Position, SoundSpeedProfile
+from auvgeom.geometry import COINCIDENT_TOL, Position, SoundSpeedProfile
 from adapters import kernel_pair
-from oracles import angle_sum_fim, chain_row, closed_row, log_form_time
+from oracles import (
+    _deviation,
+    _elevation,
+    _horizontal_range,
+    angle_sum_fim,
+    chain_row,
+    closed_row,
+    log_form_time,
+)
 
 SSP = SoundSpeedProfile(1480.0, 0.1)
 NOISE_1MS = NoiseModel.constant_variance(1e-3)
@@ -46,6 +56,28 @@ def fd_row(q, p, ssp, h=1e-3):
 def kernel_rows(q, anchors):
     """The kernel's (N, 3) Jacobian rows from q to each anchor."""
     return _time_and_rows(q.as_array(), np.array([p.as_array() for p in anchors]), SSP)[1]
+
+
+def oracle_invalid(q, p):
+    """(invalid, near): the pair's validity from the oracle angles.
+
+    Invalid is zero horizontal range, cos(theta + alpha) or
+    cos(theta - alpha) at most 1e-12, or |cos^2(theta) - sin^2(alpha)|
+    below 1e-12.  Near marks a pair whose cosines or difference sit within
+    rounding of their threshold, where the kernel's own arithmetic may
+    land on the other side; the range is the same hypot on both sides.
+    """
+    d = _horizontal_range(q, p)
+    if d <= COINCIDENT_TOL:
+        return True, False
+    theta = _elevation(q, p)
+    alpha = _deviation(q, p, SSP)
+    cos_hi = math.cos(theta + alpha)
+    cos_lo = math.cos(theta - alpha)
+    diff = math.cos(theta) ** 2 - math.sin(alpha) ** 2
+    invalid = cos_hi <= 1e-12 or cos_lo <= 1e-12 or abs(diff) < DEGENERACY_TOL
+    margin = min(abs(cos_hi - 1e-12), abs(cos_lo - 1e-12), abs(abs(diff) - DEGENERACY_TOL))
+    return invalid, margin < 1e-15
 
 
 def random_scene(rng, n=6, min_d=12.0):
@@ -299,6 +331,43 @@ class TestBatchedCore:
         p_xyz = np.array([[[1e-10, 0.0, 0.0]], [[7.0, -3.0, 20.0]]])
         t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
         assert np.all(np.isnan(t)) and np.all(np.isnan(rows))
+
+    def test_nan_pairs_match_angle_oracle(self):
+        # seeded fuzz: ordinary pairs; near-vertical pairs whose horizontal
+        # range spans the cos^2(theta) - sin^2(alpha) bound and the
+        # grazing cosines; depths far above the surface, where
+        # 2b/a + z_q + z_p turns negative and rays pass pi/2; and
+        # coincident pairs on and around the 1e-12 m range bound
+        rng = np.random.default_rng(44)
+        q = rng.uniform(-300.0, 300.0, (900, 3))
+        q[:, 2] = rng.uniform(1.0, 400.0, 900)
+        p = rng.uniform(-300.0, 300.0, (900, 3))
+        p[:, 2] = rng.uniform(0.0, 100.0, 900)
+        phi = rng.uniform(-math.pi, math.pi, 300)
+        d = 10.0 ** rng.uniform(-13.0, -2.0, 300)
+        p[300:600, 0] = q[300:600, 0] + d * np.cos(phi)
+        p[300:600, 1] = q[300:600, 1] + d * np.sin(phi)
+        q[600:800, 2] = rng.uniform(-20000.0, -10000.0, 200)
+        p[600:800, 2] = rng.uniform(-20000.0, -10000.0, 200)
+        p[600:800, :2] = q[600:800, :2] + 10.0 ** rng.uniform(0.0, 4.0, (200, 1)) * [1.0, 0.0]
+        offsets = np.array([0.0, 0.0, 5e-13, 1e-12, 1e-12 * (1 + 2**-52), 2e-12])
+        p[800:, 0] = 0.0
+        q[800:] = p[800:] + np.tile(offsets, 17)[:100, None] * [1.0, 0.0, 0.0]
+        t, rows = _time_and_rows(q, p[:, None], SSP)
+        assert t.shape == (900, 1)
+        nan_t = np.isnan(t[:, 0])
+        assert (np.isnan(rows[:, 0]) == nan_t[:, None]).all()
+
+        pairs = [(Position(*qi), Position(*pi)) for qi, pi in zip(q, p)]
+        want, near = map(np.array, zip(*(oracle_invalid(qi, pi) for qi, pi in pairs)))
+        # every group holds both outcomes
+        for lo, hi in ((300, 600), (600, 800), (800, 900)):
+            assert 0 < want[lo:hi].sum() < hi - lo
+        differ = np.flatnonzero(nan_t != want)
+        far = [int(i) for i in differ if not near[i]]
+        assert not far, f"kernel NaN pattern differs from the oracle at pairs {far}"
+        if differ.size:
+            warnings.warn(f"pairs straddling a threshold by rounding: {differ.tolist()}")
 
     def test_broadcast_trials(self):
         rng = np.random.default_rng(43)

@@ -266,6 +266,20 @@ class TestSweep:
         good = [r for r in table.rows if r.scheme == "usc"]
         assert all(not r.note and math.isfinite(r.rmse_m) for r in good)
 
+    def test_failed_fixed_cell_reports_its_anchor_count(self):
+        # five anchors in the AUV's vertical plane: the cell fails, and its
+        # row still names the layout's size
+        plane = tuple(Position(x, 50.0, 0.0) for x in (-60.0, -10.0, 90.0, 140.0, 190.0))
+        spec = SweepSpec(
+            axis=Axis.SIGMA_MS,
+            values=(1.0,),
+            base=small_scenario(trials=10, deployment=FixedAnchors(plane)),
+        )
+        (row,) = sweep(spec).rows
+        assert row.note.startswith("SingularFim")
+        assert row.n_anchors == 5
+        assert _row_line(row).startswith("sigma_ms,1.0,fixed,5,nan,")
+
 
 ROWS = (
     Row("sigma_ms", 1.0, "usc", 8, 0.85, 1.5437, 2.2871, 0, 100, 7),
