@@ -3,7 +3,9 @@
 
 Runs the five preset sweeps (objective-vs-k curves, RMSE vs anchor count
 under both noise models, RMSE vs timing noise, RMSE vs movement radius)
-and drops fig{name}.csv / fig{name}.svg into the output directory.
+through `auvgeom --figure NAME --plot simulate`, so fig{name}.csv and
+fig{name}.svg in the output directory are the files the command line
+writes, header lines included.
 
 The Monte Carlo figures take a few minutes at the default 2000 trials;
 pass --trials 200 for a quick pass.  The sweep cells run on as many
@@ -19,13 +21,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from auvgeom.harness import (
-    DEFAULT_TRIALS,
-    FIGURE_SPECS,
-    csv_text,
-    emit_plot,
-    sweep,
-)
+from auvgeom import cli
+from auvgeom.harness import DEFAULT_TRIALS, FIGURE_SPECS
 
 
 def usable_cpus():
@@ -53,26 +50,16 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
     for name in args.figures:
-        make_spec = FIGURE_SPECS[name]
-        # the analytic k sweep has no Monte Carlo loop, so no trial count
-        if name == "3":
-            spec = make_spec(master_seed=args.seed)
-        else:
-            spec = make_spec(master_seed=args.seed, trials=args.trials)
-
         start = time.perf_counter()
-        table = sweep(spec, workers=args.workers)
-        elapsed = time.perf_counter() - start
-
-        csv_path = out_dir / f"fig{name}.csv"
-        csv_path.write_text(csv_text(table))
-        emit_plot(table, spec, str(out_dir / f"fig{name}.svg"))
-        print(f"fig{name}: {len(table.rows)} rows in {elapsed:.1f}s -> {csv_path}")
-
+        code = cli.main([
+            "--out", args.out, "--seed", str(args.seed), "--workers", str(args.workers),
+            "--set", f"trials={args.trials}", "--plot", "--figure", name, "simulate",
+        ])
+        if code:
+            return code
+        print(f"fig{name}: {time.perf_counter() - start:.1f}s")
     return 0
 
 

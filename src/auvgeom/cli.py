@@ -5,7 +5,8 @@ A run is defined by one nested config (defaults below), optionally read
 from --config, then overridden by repeated --set dotted.path=value and
 by the dedicated flags (--seed, --workers).  Every output CSV embeds the
 tool version and the fully resolved config as '#' comment lines, so a
-result file is a complete experiment record.
+result file is a complete experiment record; --workers is left out, as
+it moves no result byte.
 
 Exit codes: 0 success, 2 configuration or validation failure (an
 arithmetic overflow or division by zero on extreme values included), 3
@@ -48,6 +49,7 @@ from .harness import (
     SweepSpec,
     Usc,
     _fixed_layout,
+    _write_text,
     emit_plot,
     export_csv,
     fig3_spec,
@@ -267,7 +269,9 @@ def _build_scenario(cfg: dict) -> Scenario:
 
 
 def _metadata(cfg: dict) -> tuple[str, ...]:
-    resolved = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    # the worker count moves no result byte, so the record leaves it out
+    record = {k: v for k, v in cfg.items() if k != "workers"}
+    resolved = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return (f"auvgeom {__version__}", f"config {resolved}")
 
 
@@ -295,27 +299,19 @@ def cmd_crlb(args: argparse.Namespace, cfg: dict) -> int:
     if anchors is None:
         raise ConfigError("crlb needs a deterministic layout: give the random deployment a seed")
     result = fim(scenario.auv_truth, anchors, scenario.ssp, scenario.noise)
-    condition = float(np.linalg.cond(result.fim))
-    lines = [
-        f"trace_crlb_m2 {result.trace_crlb!r}",
-        f"diagonal_lower_bound_m2 {diagonal_lower_bound(result)!r}",
-        f"offdiag_residual {result.offdiag_residual!r}",
-        f"condition_number {condition!r}",
-    ]
-    print("\n".join(lines))
+    metrics = {
+        "trace_crlb_m2": result.trace_crlb,
+        "diagonal_lower_bound_m2": diagonal_lower_bound(result),
+        "offdiag_residual": result.offdiag_residual,
+        "condition_number": float(np.linalg.cond(result.fim)),
+    }
+    print("\n".join(f"{name} {value!r}" for name, value in metrics.items()))
     out = _out_dir(args)
     if out is not None:
         path = os.path.join(out, "crlb.csv")
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                for comment in _metadata(cfg):
-                    f.write(f"# {comment}\n")
-                f.write("metric,value\n")
-                for line in lines:
-                    name, value = line.split(" ", 1)
-                    f.write(f"{name},{value}\n")
-        except OSError as e:
-            raise OSError(f"cannot write CSV to {path!r}: {e}") from e
+        lines = [f"# {c}" for c in _metadata(cfg)] + ["metric,value"]
+        lines += [f"{name},{value!r}" for name, value in metrics.items()]
+        _write_text(path, "\n".join(lines) + "\n", "CSV")
         print(f"wrote {path}")
     return 0
 

@@ -272,19 +272,15 @@ def estimate_trials(
     """
     rtt = np.asarray(rtt, dtype=float)
     depth = np.asarray(depth, dtype=float)
-    p_xyz = np.asarray(anchor_stack, dtype=float)
+    p_b = np.asarray(anchor_stack, dtype=float)
     batch, n = rtt.shape
     if n < 4:
         raise TooFewAnchors(f"need at least 4 anchors, got {n}")
-    p_b = np.broadcast_to(p_xyz, (batch, n, 3)) if p_xyz.ndim == 2 else p_xyz
-    if p_b.shape != (batch, n, 3):
+    if p_b.shape not in ((n, 3), (batch, n, 3)):
         raise ValueError("anchor stack shape does not match the samples")
     q0 = np.empty((batch, 3))
-    q0[:, :2] = p_b[:, :, :2].mean(axis=1)
+    q0[:, :2] = p_b[..., :2].mean(axis=-2)
     q0[:, 2] = depth
-    if batch and p_b.strides[0] == 0:
-        # one layout broadcast over the samples goes on as its (N, 3) array
-        p_b = p_b[0]
     q, iters, conv, singular = _estimate_batch(
         rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0
     )

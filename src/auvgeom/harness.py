@@ -16,13 +16,17 @@ Rows from Monte-Carlo runs report the depth-augmented CRLB trace
 averaged over the per-trial geometry, matching what the estimator (which
 also uses the depth sensor) can attain.  Radius-scale sweep rows skip
 the Monte-Carlo part and carry the closed-form timing-only trace.
+
+Row is the CSV schema: the header, each row line and load_csv's parse
+follow its fields in order, bar the note, which a failed cell carries in
+a '# note:' line above its row.  One helper writes every result file.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -191,8 +195,12 @@ class ResultTable:
     rows: tuple[Row, ...]
 
 
-CSV_HEADER = "axis_name,axis_value,scheme,n_anchors,k,rmse_m,trace_crlb_m2,diverged,trials,seed"
+# the CSV columns, each with the type that parses it (annotations are strings here)
+_TYPES = {"str": str, "int": int, "float": float}
+_COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(Row) if f.name != "note")
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 CSV_CONTRACT = "# contract 2"  # seeding contract of the rows; files without it are 1
+_NOTE = "# note: "  # prefix of the line that carries a row's note
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,10 @@ def _measurements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noisy travel times and depth readings from standard-normal deviates.
 
-    truth is (trials, 3), anchor_stack (trials, N, 3) and dev
-    (trials, N + 1), with the depth deviate in the last column.  Returns
-    (rtt, depth, rows, sigma2): the measurements, then the Jacobian rows
-    and timing variances at the true positions, which the bound reuses.
+    truth is (trials, 3), anchor_stack (N, 3) shared or (trials, N, 3),
+    and dev (trials, N + 1), with the depth deviate in the last column.
+    Returns (rtt, depth, rows, sigma2): the measurements, then the Jacobian
+    rows and timing variances at the true positions, which the bound reuses.
     """
     n = anchor_stack.shape[-2]
     t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
@@ -298,7 +306,8 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
         if isinstance(move, RsUsc):
             anchor_stack = _usc_circles(truth, n, k_used)
         else:
-            anchor_stack = np.broadcast_to([p.as_array() for p in anchors0], (s.trials, n, 3))
+            # one (N, 3) layout that every trial shares
+            anchor_stack = np.array([p.as_array() for p in anchors0])
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
@@ -430,19 +439,14 @@ def _csv_num(v: float) -> str:
 
 def _row_line(r: Row) -> str:
     return ",".join(
-        [
-            r.axis_name,
-            _csv_num(r.axis_value),
-            r.scheme,
-            str(r.n_anchors),
-            _csv_num(r.k),
-            _csv_num(r.rmse_m),
-            _csv_num(r.trace_crlb_m2),
-            str(r.diverged),
-            str(r.trials),
-            str(r.seed),
-        ]
+        _csv_num(getattr(r, name)) if kind is float else str(getattr(r, name))
+        for name, kind in _COLUMNS
     )
+
+
+def _cell(r: Row) -> str:
+    # how a comment line names the row's cell
+    return f"{r.scheme}@{_csv_num(r.axis_value)}"
 
 
 def csv_text(table: ResultTable, comments: tuple[str, ...] = ()) -> str:
@@ -451,59 +455,51 @@ def csv_text(table: ResultTable, comments: tuple[str, ...] = ()) -> str:
     lines += [CSV_CONTRACT, CSV_HEADER]
     for r in table.rows:
         if r.note:
-            lines.append(f"# note: {r.scheme}@{_csv_num(r.axis_value)} {r.note}")
+            lines.append(f"{_NOTE}{_cell(r)} {r.note}")
         if r.trials > 0 and r.diverged > DIVERGENCE_FLAG_FRACTION * r.trials:
-            lines.append(
-                f"# WARNING: {r.scheme}@{_csv_num(r.axis_value)} diverged on "
-                f"{r.diverged}/{r.trials} trials"
-            )
+            lines.append(f"# WARNING: {_cell(r)} diverged on {r.diverged}/{r.trials} trials")
         lines.append(_row_line(r))
     return "\n".join(lines) + "\n"
 
 
-def export_csv(table: ResultTable, path: str, comments: tuple[str, ...] = ()) -> None:
+def _write_text(path: str, text: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(csv_text(table, comments))
+            f.write(text)
     except OSError as e:
-        raise OSError(f"cannot write CSV to {path!r}: {e}") from e
+        raise OSError(f"cannot write {what} to {path!r}: {e}") from e
+
+
+def export_csv(table: ResultTable, path: str, comments: tuple[str, ...] = ()) -> None:
+    _write_text(path, csv_text(table, comments), "CSV")
 
 
 def load_csv(path: str) -> ResultTable:
-    """Parse a CSV written by export_csv under any contract; '#' lines are skipped."""
+    """Parse export_csv output of any contract; a note line joins the row below it."""
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [
-                (i, ln.rstrip("\n"))
-                for i, ln in enumerate(f, 1)
-                if ln.strip() and not ln.startswith("#")
-            ]
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, 1) if ln.strip()]
     except OSError as e:
         raise OSError(f"cannot read CSV from {path!r}: {e}") from e
-    if not lines or lines[0][1] != CSV_HEADER:
+    it = iter(lines)
+    # the first line that is not a comment is the header
+    if next((ln for _, ln in it if not ln.startswith("#")), None) != CSV_HEADER:
         raise ValueError(f"{path!r} does not carry the expected header")
-    width = CSV_HEADER.count(",") + 1
-    rows = []
-    for i, ln in lines[1:]:
+    rows, note = [], ""
+    for i, ln in it:
+        if ln.startswith(_NOTE):
+            note = ln.removeprefix(_NOTE)
+        if ln.startswith("#"):
+            continue
         parts = ln.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path!r} line {i}: {len(parts)} fields, expected {width}")
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"{path!r} line {i}: {len(parts)} fields, expected {len(_COLUMNS)}")
         try:
-            row = Row(
-                axis_name=parts[0],
-                axis_value=float(parts[1]),
-                scheme=parts[2],
-                n_anchors=int(parts[3]),
-                k=float(parts[4]),
-                rmse_m=float(parts[5]),
-                trace_crlb_m2=float(parts[6]),
-                diverged=int(parts[7]),
-                trials=int(parts[8]),
-                seed=int(parts[9]),
-            )
+            row = Row(*(kind(part) for (_, kind), part in zip(_COLUMNS, parts)))
         except ValueError as e:
             raise ValueError(f"{path!r} line {i}: {e}") from None
-        rows.append(row)
+        rows.append(replace(row, note=note.removeprefix(f"{_cell(row)} ")))
+        note = ""
     return ResultTable(rows=tuple(rows))
 
 
@@ -545,11 +541,7 @@ def emit_plot(table: ResultTable, spec: SweepSpec | None, path: str) -> None:
         y_label="RMSE [m]" if use_rmse else "tr(CRLB) [m^2]",
         log_y=log_y,
     )
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(svg)
-    except OSError as e:
-        raise OSError(f"cannot write SVG to {path!r}: {e}") from e
+    _write_text(path, svg, "SVG")
 
 
 # ---------------------------------------------------------------------------

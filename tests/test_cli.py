@@ -270,7 +270,33 @@ class TestSimulate:
         assert code == 0
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         config = json.loads(lines[1].removeprefix("# config "))
-        assert config == {"figure": "3", "master_seed": 4, "trials": 7, "workers": 1}
+        assert config == {"figure": "3", "master_seed": 4, "trials": 7}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--figure", "4a", "--set", "trials=10"),
+            (
+                "--set", "noise.kind=constant_variance", "--set", "deployment.scale_k=0.85",
+                "--set", "sweep.axis=sigma_ms", "--set", "sweep.values=[1,5]",
+                "--set", "trials=10",
+            ),
+        ],
+        ids=["figure", "config-sweep"],
+    )
+    def test_worker_count_leaves_the_files_alone(self, capsys, tmp_path, argv):
+        files = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            out.mkdir()
+            code, _, _ = run(
+                capsys, *argv, "--workers", workers, "--plot", "--out", str(out), "simulate"
+            )
+            assert code == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(files[0]) == 2
+        assert files[0] == files[1]
+        assert b"workers" not in next(v for k, v in files[0].items() if k.endswith(".csv"))
 
 
 def test_overflowing_noise_writes_one_stderr_line():

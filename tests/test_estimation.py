@@ -446,10 +446,10 @@ class TestBatchMatchesReference:
     def test_fig5_shared_anchors_at_10_ms(self):
         spec = harness.fig5_spec(master_seed=0, trials=200)
         cells = [(scheme, 10.0) for scheme in ("usc", "cube", "random")]
-        for rtt, depth, stack, ssp, noise, config in recorded_inputs(spec, cells):
-            # fixed layouts: pass the one (N, 3) array the trials share
-            assert np.all(stack == stack[0])
-            self.check(rtt, depth, stack[0], ssp, noise, config)
+        for rtt, depth, layout, ssp, noise, config in recorded_inputs(spec, cells):
+            # fixed layouts: the harness passes the one (N, 3) array the trials share
+            assert layout.shape == (8, 3)
+            self.check(rtt, depth, layout, ssp, noise, config)
 
     def test_truth_perturbed_start(self):
         noise = NoiseModel.constant_variance(5e-3)
@@ -477,8 +477,8 @@ class TestSharedLayout:
     """One (N, 3) layout shared by every sample, never copied per sample.
 
     It must give exactly what its materialized (batch, N, 3) copy gives,
-    through _estimate_batch and through estimate_trials, which hands a
-    broadcast layout on as the shared array.
+    through _estimate_batch and through estimate_trials, which takes any
+    two-dimensional anchor array as the layout every sample shares.
     """
 
     def check(self, rtt, depth, anchors, noise):
@@ -491,8 +491,8 @@ class TestSharedLayout:
         copied = _estimate_batch(rtt, depth, stack, SSP, noise, config, q0)
         for name, s, c in zip(names, shared, copied):
             np.testing.assert_array_equal(s, c, err_msg=name)
-        broadcast = estimate_trials(rtt, depth, np.broadcast_to(layout, stack.shape), SSP, noise)
-        for name, s, c in zip(names, broadcast, estimate_trials(rtt, depth, stack, SSP, noise)):
+        through_entry = estimate_trials(rtt, depth, layout, SSP, noise)
+        for name, s, c in zip(names, through_entry, estimate_trials(rtt, depth, stack, SSP, noise)):
             np.testing.assert_array_equal(s, c, err_msg=name)
         return shared
 

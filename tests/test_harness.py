@@ -341,6 +341,29 @@ class TestCsv:
         lines = csv_text(ResultTable(rows=(bad,))).splitlines()
         assert lines[:3] == [CSV_CONTRACT, CSV_HEADER, "# note: bad@2.0 SingularFim: boom"]
 
+    def test_failed_cell_note_survives_the_round_trip(self, tmp_path):
+        # a five-anchor vertical-plane layout fails on every sigma; the
+        # hand-made last row puts a divergence warning between note and row
+        plane = tuple(Position(x, 50.0, 0.0) for x in (-60.0, -10.0, 90.0, 140.0, 190.0))
+        schemes = {
+            "usc": Variant(deployment=Usc(scale_k=0.85, n=8)),
+            "plane": Variant(deployment=FixedAnchors(plane)),
+        }
+        spec = SweepSpec(
+            axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=small_scenario(trials=10), schemes=schemes
+        )
+        flagged = Row("sigma_ms", 3.0, "x y", 8, 0.85, 9.9, 90.0, 7, 10, 0, note="odd: a b")
+        table = ResultTable(rows=sweep(spec).rows + (flagged,))
+        path1 = str(tmp_path / "a.csv")
+        path2 = str(tmp_path / "b.csv")
+        export_csv(table, path1, comments=("run A",))
+        loaded = load_csv(path1)
+        export_csv(loaded, path2, comments=("run A",))
+        assert open(path1, "rb").read() == open(path2, "rb").read()
+        notes = [r.note for r in table.rows]
+        assert [r.note for r in loaded.rows] == notes
+        assert notes[:2] == ["", ""] and notes[2].startswith("SingularFim")
+
     def test_write_error_names_path(self, tmp_path):
         target = str(tmp_path / "no-such-dir" / "x.csv")
         with pytest.raises(OSError, match="no-such-dir"):
