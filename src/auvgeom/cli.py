@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import inspect
 import json
 import math
 import os
@@ -67,7 +68,6 @@ DEFAULT_CONFIG = {
         "beta": 2.0,
         "l0": 1000.0,
         "l_f_db_per_km": 1.0,
-        "use_arc_length": False,
     },
     "deployment": {
         "kind": "usc",
@@ -162,7 +162,6 @@ def _is_point(v) -> bool:
 
 # what each leaf must hold, by the type of its default
 _LEAF_TYPES = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     float: (_is_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
@@ -212,7 +211,6 @@ def _build_noise(cfg: dict) -> NoiseModel:
             beta=section["beta"],
             l0=section["l0"],
             l_f_db_per_km=section["l_f_db_per_km"],
-            use_arc_length=section["use_arc_length"],
         )
     raise ConfigError(f"unknown noise kind {section['kind']!r}")
 
@@ -285,7 +283,7 @@ def _changed_leaves(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = ""):
             yield where
 
 
-# the only config leaves a --figure preset reads
+# config leaves a --figure preset may read; it gets those its function's signature names
 _FIGURE_KEYS = ("master_seed", "trials", "workers")
 
 
@@ -368,12 +366,10 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
                 f"--figure {args.figure} fixes its own scenario; config key {ignored!r} "
                 "would be ignored (only master_seed, trials and workers apply)"
             )
-        comments = _metadata({"figure": args.figure, **{k: cfg[k] for k in _FIGURE_KEYS}})
         maker = FIGURE_SPECS[args.figure]
-        if args.figure == "3":
-            spec = maker(master_seed=cfg["master_seed"])
-        else:
-            spec = maker(master_seed=cfg["master_seed"], trials=cfg["trials"])
+        applied = {k: cfg[k] for k in inspect.signature(maker).parameters}
+        comments = _metadata({"figure": args.figure, **applied})
+        spec = maker(**applied)
         stem = f"fig{args.figure}"
         table = sweep(spec, workers=cfg["workers"])
     else:

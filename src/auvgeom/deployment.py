@@ -12,11 +12,11 @@ with both terms exactly proportional to 1/N.  ``optimize_k`` minimizes
 this by plain gradient descent with a finite-difference gradient and
 backtracking on the step, one scalar ``k_objective`` call per trial
 point; ``grid_search_k`` is its independent oracle.  The grid is
-evaluated in one numpy pass: slant range (or arc length) for every k,
-then the variances, then the same closed form the scalar objective
-uses.  Its values match the scalar objective's to a few ulp (numpy
-squares where Python calls pow), and the grid refuses to return an
-argmin when any value is not finite and positive.
+evaluated in one numpy pass: slant range for every k, then the
+variances, then the same closed form the scalar objective uses.  Its
+values match the scalar objective's to a few ulp (numpy squares where
+Python calls pow), and the grid refuses to return an argmin when any
+value is not finite and positive.
 Cube and random baselines used in the accuracy comparisons live here
 too.
 
@@ -135,27 +135,18 @@ def _usc_trace(k, z: float, n: int, ssp: SoundSpeedProfile, sigma2):
     return term_xy + term_z
 
 
-def _usc_sigma2(k: float, z: float, ssp: SoundSpeedProfile, noise: NoiseModel) -> float:
-    """Per-anchor variance of a USC layout at scale k.
-
-    All anchors share one distance: slant range z*sqrt(1+k^2), or the
-    bent-ray arc length when the noise model asks for it.
-    """
+def _usc_sigma2(k: float, z: float, noise: NoiseModel) -> float:
+    """Per-anchor variance of a USC layout at scale k, at slant range z*sqrt(1+k^2)."""
     if noise.kind == KIND_CONSTANT:
         return noise.sigma ** 2
-    r = z * math.sqrt(1.0 + k * k)
-    if noise.use_arc_length:
-        alpha = math.atan2(k * z, 2.0 * ssp.surface_speed_b / ssp.steepness_a + z)
-        if alpha > 1e-9:
-            r = r * alpha / math.sin(alpha)
-    return noise_variance(noise, r)
+    return noise_variance(noise, z * math.sqrt(1.0 + k * k))
 
 
 def k_objective(
     k: float, z: float, n: int, ssp: SoundSpeedProfile, noise: NoiseModel
 ) -> float:
     """tr(CRLB)(k) with the noise variance re-evaluated at each k."""
-    return usc_trace_crlb_closed_form(k, z, n, ssp, _usc_sigma2(k, z, ssp, noise))
+    return usc_trace_crlb_closed_form(k, z, n, ssp, _usc_sigma2(k, z, noise))
 
 
 def _k_objective_grid(
@@ -168,9 +159,6 @@ def _k_objective_grid(
     """
     with np.errstate(all="ignore"):
         r = z * np.sqrt(1.0 + k * k)
-        if noise.use_arc_length:
-            alpha = np.arctan2(k * z, 2.0 * ssp.surface_speed_b / ssp.steepness_a + z)
-            r = np.where(alpha > 1e-9, r * alpha / np.sin(alpha), r)
         return _usc_trace(k, z, n, ssp, _variance_at(noise, r))
 
 

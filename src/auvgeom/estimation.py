@@ -150,7 +150,7 @@ def _estimate_batch(
             break
         idx = np.flatnonzero(active)
         qa = q[idx]
-        sigma2 = _sigma2(qa, p_b if shared else p_b[idx], ssp, noise)
+        sigma2 = _sigma2(qa, p_b if shared else p_b[idx], noise)
         sigma = np.sqrt(sigma2)
         # whitened timing rows with the sample index last, (N, 3, active),
         # and the N timing residuals followed by the depth residual

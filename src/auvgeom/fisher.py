@@ -62,15 +62,12 @@ class NoiseModel:
 
     kind "constant_variance" uses sigma (seconds) for every anchor.  kind
     "distance_dependent" converts an energy-to-noise floor ke_db plus the
-    path loss
+    path loss over the slant range l
 
         A_db(l) = 10 * beta * log10(l / l0) + (l - l0) * l_f_db_per_km / 1000
 
     into a variance sigma^2 = 10^((ke_db + A_db)/10), in squared seconds
     by convention (the decibel reading of the model; see README).
-    use_arc_length selects the bent-ray arc length instead of the
-    straight slant range as the distance argument; the two differ by
-    well under 0.1% at the geometries here.
     """
 
     kind: str = KIND_DISTANCE
@@ -79,7 +76,6 @@ class NoiseModel:
     beta: float = 2.0
     l0: float = 1000.0
     l_f_db_per_km: float = 1.0
-    use_arc_length: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_CONSTANT, KIND_DISTANCE):
@@ -101,7 +97,6 @@ class NoiseModel:
         beta: float = 2.0,
         l0: float = 1000.0,
         l_f_db_per_km: float = 1.0,
-        use_arc_length: bool = False,
     ) -> "NoiseModel":
         return NoiseModel(
             kind=KIND_DISTANCE,
@@ -109,7 +104,6 @@ class NoiseModel:
             beta=beta,
             l0=l0,
             l_f_db_per_km=l_f_db_per_km,
-            use_arc_length=use_arc_length,
         )
 
 
@@ -196,13 +190,8 @@ def _variance_at(noise: NoiseModel, distance_l):
 
 
 @np.errstate(over="ignore")
-def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise: NoiseModel):
-    """Timing variances, q_xyz as (..., 3) against anchors p_xyz (..., N, 3).
-
-    The distance fed to the noise model is the slant range r, or the
-    bent-ray arc length r * alpha / sin(alpha) when the model asks for
-    it (the chord itself below alpha = 1e-9).  Returns shape (..., N).
-    """
+def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, noise: NoiseModel):
+    """Timing variances at the slant ranges of q_xyz (..., 3) to anchors p_xyz (..., N, 3)."""
     if noise.kind == KIND_CONSTANT:
         shape = np.broadcast_shapes(np.shape(q_xyz)[:-1] + (1,), np.shape(p_xyz)[:-1])
         return np.full(shape, noise.sigma ** 2)
@@ -213,11 +202,6 @@ def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile, noise:
     l += dy * dy
     l += dz * dz
     np.sqrt(l, out=l)
-    if noise.use_arc_length:
-        d = np.hypot(dx, dy)
-        axial = 2.0 * ssp.surface_speed_b / ssp.steepness_a + q_xyz[..., None, 2] + p_xyz[..., 2]
-        alpha = np.arctan2(d, axial)
-        l = l * np.where(alpha > 1e-9, alpha / np.where(alpha > 0, np.sin(alpha), 1.0), 1.0)
     return _variance_at(noise, l)
 
 
@@ -281,7 +265,7 @@ def fim(
             reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
         raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
-        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, ssp, noise)[:, None])
+        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, noise)[:, None])
         f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding
     if _ill_conditioned(f):
         raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")

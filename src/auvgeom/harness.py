@@ -276,7 +276,7 @@ def _measurements(
     """
     n = anchor_stack.shape[-2]
     t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
-    sigma2 = _sigma2(truth, anchor_stack, ssp, noise)
+    sigma2 = _sigma2(truth, anchor_stack, noise)
     rtt = t_true + dev[:, :n] * np.sqrt(sigma2)
     depth = truth[:, 2] + dev[:, n] * math.sqrt(DEPTH_NOISE_VAR)
     return rtt, depth, rows, sigma2

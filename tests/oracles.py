@@ -53,13 +53,6 @@ def _deviation(q, p, ssp):
     return math.atan2(_horizontal_range(q, p), axial)
 
 
-def _arc_length(q, p, ssp):
-    """Ray arc r * alpha / sin(alpha); the chord r below alpha = 1e-9."""
-    r = _slant_range(q, p)
-    alpha = _deviation(q, p, ssp)
-    return r * alpha / math.sin(alpha) if alpha > 1e-9 else r
-
-
 def log_form_time(q, p, ssp):
     """(1/a) * [F(theta + alpha) - F(theta - alpha)], F(x) = ln((1 + sin x) / cos x)."""
     theta = _elevation(q, p)
@@ -187,10 +180,9 @@ def chain_row(q, p, ssp):
     return tuple(dt_dtheta * dth + dt_dalpha * dal for dth, dal in zip(dtheta, dalpha))
 
 
-def anchor_variance(q, p, ssp, noise):
-    """sigma^2 at the slant range, or at the arc length when asked for."""
-    distance = _arc_length(q, p, ssp) if noise.use_arc_length else _slant_range(q, p)
-    return noise_variance(noise, distance)
+def anchor_variance(q, p, noise):
+    """sigma^2 at the slant range."""
+    return noise_variance(noise, _slant_range(q, p))
 
 
 def angle_sum_fim(q, anchors, ssp, noise):
@@ -204,7 +196,7 @@ def angle_sum_fim(q, anchors, ssp, noise):
     theta = np.array([_elevation(q, p) for p in anchors])
     alpha = np.array([_deviation(q, p, ssp) for p in anchors])
     phi = np.array([_bearing(q, p) for p in anchors])
-    sigma2 = np.array([anchor_variance(q, p, ssp, noise) for p in anchors])
+    sigma2 = np.array([anchor_variance(q, p, noise) for p in anchors])
     w = np.sin(alpha) ** 2 * np.cos(theta) ** 2 / (d ** 2 * sigma2)
     u = np.stack([np.cos(phi), np.sin(phi), np.tan(theta - alpha)])
     psi = np.empty((3, 3))

@@ -1,11 +1,14 @@
-"""The benchmark's layer hooks still find every function they wrap.
+"""The benchmark still fits the program it measures.
 
 perfbench/layers.py times auvgeom by patching named module attributes.
 A boundary that was renamed, removed or no longer imported by its
 calling module does not fail the benchmark: it only makes that layer's
-metrics read null.  This test installs the hooks on a fresh tracer and
-requires that none is missing.  perfbench is imported, never changed,
-and no bytecode is written next to it.
+metrics read null.  The first test installs the hooks on a fresh tracer
+and requires that none is missing.  perfbench/workloads.py builds its
+expected answers from ``cli.DEFAULT_CONFIG`` and the library at import
+time; the second test imports it and requires a short seeded stream of
+its design queries to pass its own checks.  perfbench is imported,
+never changed, and no bytecode is written next to it.
 """
 
 import os
@@ -32,3 +35,17 @@ def test_every_layer_boundary_exists(monkeypatch):
     assert harness.estimate_trials is estimation.estimate_trials
     assert harness._time_and_rows is fisher._time_and_rows
     assert estimation._time_and_rows is fisher._time_and_rows
+
+
+def test_design_queries_pass_their_checks(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delenv("AUVGEOM_OUT", raising=False)  # no output files
+    import workloads
+
+    problems = []
+    for q in workloads.make_queries(seed=0, count=30):
+        problem = workloads.check_query(q, *workloads.call_cli(q.argv)[:3])
+        if problem is not None:
+            problems.append((q.argv, problem))
+    assert problems == []

@@ -81,6 +81,20 @@ class TestConfigResolution:
         assert code == 2
         assert "nonsense" in err
 
+    @pytest.mark.parametrize("route", ["config", "set"])
+    def test_arc_length_key_is_gone(self, capsys, tmp_path, route):
+        # the noise distance is always the slant range; the old switch is an unknown key
+        if route == "config":
+            doc = tmp_path / "old.json"
+            doc.write_text(json.dumps({"noise": {"use_arc_length": True}}))
+            argv = ["--config", str(doc)]
+        else:
+            argv = ["--set", "noise.use_arc_length=true"]
+        code, out, err = run(capsys, *argv, "crlb")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: unknown config key 'noise.use_arc_length'"]
+
     def test_set_without_equals_rejected(self, capsys):
         code, _, err = run(capsys, "--set", "trials", "crlb")
         assert code == 2
@@ -270,7 +284,21 @@ class TestSimulate:
         assert code == 0
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         config = json.loads(lines[1].removeprefix("# config "))
-        assert config == {"figure": "3", "master_seed": 4, "trials": 7}
+        assert config == {"figure": "3", "master_seed": 4}
+
+    def test_figure_3_file_ignores_trials(self, capsys, tmp_path):
+        # fig3 is the closed-form radius sweep, with no trial count to apply
+        files = []
+        for trials in ("7", "8"):
+            out = tmp_path / trials
+            out.mkdir()
+            code, _, _ = run(
+                capsys, "--figure", "3", "--set", f"trials={trials}", "--out", str(out),
+                "simulate",
+            )
+            assert code == 0
+            files.append((out / "fig3.csv").read_bytes())
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize(
         "argv",

@@ -323,7 +323,7 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
         idx = np.flatnonzero(active)
         qa = q[idx]
         t, rows = _time_and_rows(qa, p_b[idx], ssp)
-        sigma2 = _sigma2(qa, p_b[idx], ssp, noise)
+        sigma2 = _sigma2(qa, p_b[idx], noise)
         sigma = np.sqrt(sigma2)
         design = rows / sigma[..., None]
         resid = (rtt[idx] - t) / sigma

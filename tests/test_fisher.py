@@ -227,24 +227,13 @@ class TestFim:
         r2 = fim(q, anchors, SSP, NoiseModel.constant_variance(3e-3))
         assert r2.trace_crlb == pytest.approx(9.0 * r1.trace_crlb, rel=1e-12)
 
-    def test_arc_length_switch_small_shift(self):
-        q = Position(50, 50, 50)
-        anchors = [Position(50 + 60 * math.cos(t), 50 + 60 * math.sin(t), 0)
-                   for t in (0.3, 1.9, 3.4, 5.1)]
-        straight = fim(q, anchors, SSP, NoiseModel.distance_dependent())
-        arc = fim(q, anchors, SSP, NoiseModel.distance_dependent(use_arc_length=True))
-        rel = abs(arc.trace_crlb - straight.trace_crlb) / straight.trace_crlb
-        assert 0.0 < rel < 1e-3
-
-
     @pytest.mark.parametrize(
         "noise",
         [
             NoiseModel.constant_variance(1e-3),
             NoiseModel.distance_dependent(),
-            NoiseModel.distance_dependent(use_arc_length=True),
         ],
-        ids=["constant", "distance", "arc_length"],
+        ids=["constant", "distance"],
     )
     def test_matches_angle_sum_oracle(self, noise):
         rng = np.random.default_rng(37)

@@ -14,7 +14,6 @@ from auvgeom.geometry import Position, SoundSpeedProfile
 from adapters import kernel_pair
 from oracles import (
     NoEigenray,
-    _arc_length,
     _bearing,
     _deviation,
     _elevation,
@@ -256,18 +255,6 @@ class TestRayGeometry:
         assert abs(theta + alpha) < math.pi / 2
         assert abs(theta - alpha) < math.pi / 2
         assert travel_time(q, p, SSP) > 0
-
-
-class TestArcLength:
-    def test_vertical(self):
-        assert _arc_length(Position(0, 0, 100), Position(0, 0, 0), SSP) == pytest.approx(100.0)
-
-    def test_slightly_exceeds_chord(self):
-        q, p = Position(50, 50, 50), Position(92, 50, 0)
-        s = _arc_length(q, p, SSP)
-        r = math.hypot(42.0, 50.0)
-        assert s >= r
-        assert s == pytest.approx(r, rel=1e-5)  # alpha ~ 1.4e-3 rad
 
 
 class TestSnellOracle:
