@@ -65,14 +65,17 @@ class OptimizerConfig:
     fd_step_h: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (
-            self.initial_k > 0
-            and 0 < self.step_size_t < 1
-            and self.precision_eps > 0
-            and self.max_iterations_Nmax >= 1
-            and self.fd_step_h > 0
+        # one message per field, each check written so that NaN fails it
+        nmax = self.max_iterations_Nmax
+        for name, value, ok, rule in (
+            ("initial_k", float(self.initial_k), self.initial_k > 0, "be positive"),
+            ("step_size_t", float(self.step_size_t), 0 < self.step_size_t < 1, "lie in (0, 1)"),
+            ("precision_eps", float(self.precision_eps), self.precision_eps > 0, "be positive"),
+            ("max_iterations_Nmax", nmax, nmax >= 1, "be >= 1"),
+            ("fd_step_h", float(self.fd_step_h), self.fd_step_h > 0, "be positive"),
         ):
-            raise ValueError("invalid optimizer configuration")
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

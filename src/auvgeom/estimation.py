@@ -23,6 +23,23 @@ iterate's, so the kernel runs once on the starting points and then only
 on candidates.  A normal matrix counts as singular under the same
 screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
 
+A sample stops by one of two rules.  When the Newton decrement of its
+undamped step, delta . J^T W r, the whitened-cost decrease that step
+predicts, falls below DECREMENT_TOL, it takes that step and is done;
+this is tested before damping and the line search.  The final step is
+taken because the iterate that passed the test still sits up to one
+step from the solution: stopping without it leaves noiseless solves
+millimetres from the truth.  Otherwise a sample stops once an accepted
+step is no longer than ``position_tolerance``, or when the line search
+rejects every scale.
+
+The normal equations are solved in closed form: one cofactor pass over
+the six sums of J^T W J gives the singular screen its determinant and
+every matrix that the screen's tr^3 / det bound clears (cond <= 1e11)
+its step adj J^T W r / det.  Below that clearance the determinant can
+lose every digit, so the few matrices the bound does not clear, and the
+eigenvalue check then passes, are solved by LAPACK.
+
 The normal equations come from the N timing rows alone: the six
 distinct entries of J^T W J and the three of J^T W r are summed row by
 row in order, starting from zero, and the depth pseudo-row (0, 0, sw)
@@ -43,7 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewAnchors
-from .fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows
+from .fisher import (
+    NoiseModel,
+    _condition_screen,
+    _first_row_expansion,
+    _sigma2,
+    _time_and_rows,
+)
 from .geometry import SoundSpeedProfile
 
 DEPTH_NOISE_VAR = 1.0  # m^2, depth-sensor error variance
@@ -56,6 +79,11 @@ DIVERGENCE_SPAN_FACTOR = 10.0
 # the line search from rejecting every move near the optimum; accepted
 # uphill drift is bounded by slack * max_iterations.
 SSE_SLACK = 1e-9
+# A sample whose undamped step predicts a whitened-cost decrease below
+# this stops after taking that step (Newton decrement, Boyd &
+# Vandenberghe 2004, section 9.5.1).  At 1e-4 the step moves the point
+# by about 1% of its standard deviation.
+DECREMENT_TOL = 1e-4
 # Distance-dependent weights make the reweighted iteration a fixed-point
 # map that can settle into a stable two-point cycle at high noise.  A
 # step that reverses direction against the previous one halves a
@@ -86,6 +114,40 @@ _HALVING_SCALES = tuple(
 # J^T W J, row-major, from the 00, 11, 22, 01, 12 and 02 sums that
 # _estimate_batch accumulates
 _JTJ_ENTRIES = [0, 3, 5, 3, 1, 4, 5, 4, 2]
+
+
+def _normal_steps(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the normal equations given by their nine sums, (9, batch).
+
+    Rows 0-5 are the 00, 11, 22, 01, 12 and 02 entries of J^T W J and
+    rows 6-8 are J^T W r.  Returns the steps (batch, 3) and the singular
+    mask of ``fisher._ill_conditioned``; a singular row's step is garbage.
+    One cofactor pass gives the screen its determinant and every matrix
+    the screen clears its step adj J^T W r / det.  The few that the
+    tr^3 / det bound does not clear, where the determinant may have lost
+    its digits, are solved by LAPACK.
+    """
+    s00, s11, s22, s01, s12, s02 = sums[:6]
+    g0, g1, g2 = sums[6:]
+    jtj = sums[_JTJ_ENTRIES].T.reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):
+        det, (c00, c01, c02) = _first_row_expansion(s00, s01, s02, s11, s12, s22)
+        bad, cleared = _condition_screen(jtj, det)
+        c11 = s00 * s22 - s02 * s02
+        c22 = s00 * s11 - s01 * s01
+        c12 = s01 * s02 - s00 * s12
+        delta = np.stack(
+            [
+                (c00 * g0 + c01 * g1 + c02 * g2) / det,
+                (c01 * g0 + c11 * g1 + c12 * g2) / det,
+                (c02 * g0 + c12 * g1 + c22 * g2) / det,
+            ],
+            axis=1,
+        )
+    lapack = np.flatnonzero(~bad & ~cleared)
+    if lapack.size:
+        delta[lapack] = np.linalg.solve(jtj[lapack], sums[6:, lapack].T[..., None])[..., 0]
+    return delta, bad
 
 
 def _weighted_sse(
@@ -177,18 +239,31 @@ def _estimate_batch(
                 acc += row
             acc[2] += sw * sw
             acc[8] += sw * resid[:, n]
-        jtj = acc[_JTJ_ENTRIES].T.reshape(-1, 3, 3)
-        jtr = acc[6:].T
-        bad = _ill_conditioned(jtj)
+        delta, bad = _normal_steps(acc)
         if bad.any():
             singular[idx[bad]] = True
             active[idx[bad]] = False
-        good = ~bad
-        if not good.any():
+        # positions in idx of the samples that take a step
+        pos = np.flatnonzero(~bad)
+        if not pos.size:
             continue
-        sub = idx[good]
-        delta = np.linalg.solve(jtj[good], jtr[good][..., None])[..., 0]
+        sub = idx[pos]
+        delta = delta[pos]
         iterations[sub] += 1
+
+        # Newton decrement delta . J^T W r, the cost decrease the undamped
+        # step predicts: below DECREMENT_TOL the sample takes that step
+        # and is done
+        final = np.sum(delta * acc[6:, pos].T, axis=1) < DECREMENT_TOL
+        if final.any():
+            fin = sub[final]
+            q[fin] += delta[final]
+            converged[fin] = True
+            active[fin] = False
+            rest = ~final
+            pos, sub, delta = pos[rest], sub[rest], delta[rest]
+            if not pos.size:
+                continue
 
         reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
         g = gamma[sub]
@@ -202,11 +277,12 @@ def _estimate_batch(
         keep = ~runaway
         if not keep.any():
             continue
+        pos = pos[keep]
         sub = sub[keep]
         delta = delta[keep]
         step_norm = step_norm[keep]
-        frozen_s2 = sigma2[good][keep]
-        ref_sse = cur_sse[good][keep]
+        frozen_s2 = sigma2[pos]
+        ref_sse = cur_sse[pos]
         limit = ref_sse + SSE_SLACK * (1.0 + ref_sse)
 
         # backtracking: take the first of the steps 1, 1/2, ... 1/2**14

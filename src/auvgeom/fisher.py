@@ -212,6 +212,45 @@ def noise_variance(noise: NoiseModel, distance_l: float) -> float:
     return float(_variance_at(noise, distance_l))
 
 
+def _first_row_expansion(a, b, c, e, f, i):
+    """Determinant of the symmetric [[a, b, c], [b, e, f], [c, f, i]].
+
+    The arguments are arrays of the six distinct entries.  Returns det,
+    expanded along the first row, and that row's cofactors, which are
+    also the adjugate's 00, 01 and 02 entries.
+    """
+    adj00 = e * i - f * f
+    adj01 = f * c - b * i
+    adj02 = b * f - e * c
+    return a * adj00 + b * adj01 + c * adj02, (adj00, adj01, adj02)
+
+
+def _condition_screen(
+    m: np.ndarray, det: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ill, cleared) masks of a (..., 3, 3) stack of symmetric matrices.
+
+    ill is ``_ill_conditioned``'s verdict.  cleared marks the finite
+    matrices that the tr^3 / det bound passes without an eigenvalue
+    solve: their cond is at most 1e11.  det, when given, must be
+    ``_first_row_expansion``'s determinant of the stack, flattened.
+    """
+    entries = m.reshape(-1, 9).T
+    finite = np.isfinite(entries).all(axis=0)
+    bad = ~finite
+    with np.errstate(all="ignore"):
+        a, b, c, _, e, f, _, _, i = entries
+        if det is None:
+            det, _ = _first_row_expansion(a, b, c, e, f, i)
+        clear = finite & (det > 0.0) & ((a + e + i) ** 3 <= CONDITION_LIMIT / 10 * det)
+        check = np.flatnonzero(finite & ~clear)
+        if check.size:
+            ev = np.abs(np.linalg.eigvalsh(m.reshape(-1, 3, 3)[check]))
+            ratio = ev.max(axis=1) / ev.min(axis=1)
+            bad[check] = np.where(np.isnan(ratio), np.inf, ratio) > CONDITION_LIMIT
+    return bad.reshape(m.shape[:-2]), clear.reshape(m.shape[:-2])
+
+
 def _ill_conditioned(m: np.ndarray) -> np.ndarray:
     """True where a symmetric 3x3 matrix is non-finite or has cond > 1e12.
 
@@ -223,19 +262,7 @@ def _ill_conditioned(m: np.ndarray) -> np.ndarray:
     Matrices that bound clears at 1e11, a decade below the limit so that
     rounding in tr and det cannot matter, skip the eigenvalue solve.
     """
-    entries = m.reshape(-1, 9).T
-    finite = np.isfinite(entries).all(axis=0)
-    bad = ~finite
-    with np.errstate(all="ignore"):
-        a, b, c, _, e, f, _, _, i = entries
-        det = a * (e * i - f * f) - b * (b * i - f * c) + c * (b * f - e * c)
-        clear = (det > 0.0) & ((a + e + i) ** 3 <= CONDITION_LIMIT / 10 * det)
-        check = np.flatnonzero(finite & ~clear)
-        if check.size:
-            ev = np.abs(np.linalg.eigvalsh(m.reshape(-1, 3, 3)[check]))
-            ratio = ev.max(axis=1) / ev.min(axis=1)
-            bad[check] = np.where(np.isnan(ratio), np.inf, ratio) > CONDITION_LIMIT
-    return bad.reshape(m.shape[:-2])
+    return _condition_screen(m)[0]
 
 
 def fim(

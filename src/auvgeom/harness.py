@@ -6,12 +6,15 @@ model, and a trial budget under a master seed.  Sweeps vary one axis
 over a list of values for one or more named schemes and produce a flat
 result table that exports to CSV and SVG.
 
-Reproducibility contract 2: a cell (one scheme at one axis value) runs
+Reproducibility contract 3: a cell (one scheme at one axis value) runs
 whole in one worker and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
 count without per-trial generators, and trial t of every scheme sees the
-same deviates.  Contract 1 seeded each trial on its own.
+same deviates.  Contract 3 draws the streams of contract 2; its rows
+differ because the estimator stops on the Newton decrement and solves
+its normal equations from cofactors.  Contract 1 seeded each trial on
+its own.
 Rows from Monte-Carlo runs report the depth-augmented CRLB trace
 averaged over the per-trial geometry, matching what the estimator (which
 also uses the depth sensor) can attain.  Radius-scale sweep rows skip
@@ -199,7 +202,7 @@ class ResultTable:
 _TYPES = {"str": str, "int": int, "float": float}
 _COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(Row) if f.name != "note")
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-CSV_CONTRACT = "# contract 2"  # seeding contract of the rows; files without it are 1
+CSV_CONTRACT = "# contract 3"  # contract the rows were drawn under; files without it are 1
 _NOTE = "# note: "  # prefix of the line that carries a row's note
 
 

@@ -159,6 +159,22 @@ class TestOptimizeK:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("initial_k=0", "initial_k must be positive, got 0.0"),
+            ("step_size_t=2", "step_size_t must lie in (0, 1), got 2.0"),
+            ("precision_eps=-1e-6", "precision_eps must be positive, got -1e-06"),
+            ("max_iterations_Nmax=0", "max_iterations_Nmax must be >= 1, got 0"),
+            ("fd_step_h=0", "fd_step_h must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_optimizer_field_is_named(self, capsys, assignment, message):
+        code, out, err = run(capsys, "--set", f"optimizer.{assignment}", "optimize-k")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("grid", [(), ("--grid",)])
     def test_non_finite_objective_exit_2(self, capsys, grid):
         code, out, err = run(capsys, "--set", "noise.ke_db=1e308", "optimize-k", *grid)

@@ -13,14 +13,23 @@ from auvgeom.errors import TooFewAnchors
 from auvgeom.estimation import (
     BACKTRACK_LIMIT,
     DAMPING_FLOOR,
+    DECREMENT_TOL,
     DEPTH_NOISE_VAR,
     DIVERGENCE_SPAN_FACTOR,
     SSE_SLACK,
     EstimatorConfig,
     _estimate_batch,
+    _normal_steps,
     estimate_trials,
 )
-from auvgeom.fisher import NoiseModel, _ill_conditioned, _sigma2, _time_and_rows, fim
+from auvgeom.fisher import (
+    NoiseModel,
+    _condition_screen,
+    _ill_conditioned,
+    _sigma2,
+    _time_and_rows,
+    fim,
+)
 from auvgeom.geometry import Position, SoundSpeedProfile
 from adapters import kernel_pair
 
@@ -293,7 +302,8 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
     """The lockstep Gauss-Newton loop without its shortcuts.
 
     It calls the kernel at every iterate, halves a rejected step one
-    scale at a time, and runs eigvalsh on every normal matrix.  Returns
+    scale at a time, and runs eigvalsh on every normal matrix.  It shares
+    _normal_steps, the cofactor solve, and the decrement stop.  Returns
     _estimate_batch's four arrays plus a mask of the samples whose line
     search rejected every step.
     """
@@ -343,8 +353,19 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
         if not good.any():
             continue
         sub = idx[good]
-        delta = np.linalg.solve(jtj[good], jtr[good][..., None])[..., 0]
+        sums = np.concatenate([jtj[:, (0, 1, 2, 0, 1, 0), (0, 1, 2, 1, 2, 2)].T, jtr.T])
+        delta = _normal_steps(sums)[0][good]
         iterations[sub] += 1
+
+        # a small Newton decrement: take the undamped step and stop
+        final = np.sum(delta * jtr[good], axis=1) < DECREMENT_TOL
+        q[sub[final]] = q[sub[final]] + delta[final]
+        converged[sub[final]] = True
+        active[sub[final]] = False
+        good[good] = ~final
+        sub, delta = sub[~final], delta[~final]
+        if not sub.size:
+            continue
 
         reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
         gamma[sub] = np.where(
@@ -473,6 +494,30 @@ class TestBatchMatchesReference:
         assert singular == 10
 
 
+class TestStartPoint:
+    def test_fig4a_usc_rmse_ignores_a_far_start(self):
+        # the production start is the anchors' centroid, which for usc is
+        # the true x, y; moving every trial's start 50 m away horizontally,
+        # each along its own seeded bearing, moves the cell's RMSE 1.5%
+        spec = harness.fig4a_spec(master_seed=0, trials=2000)
+        [(rtt, depth, layout, ssp, noise, config)] = recorded_inputs(spec, [("usc", 4.0)])
+        truth = spec.base.auv_truth.as_array()
+
+        def rmse(q, converged):
+            return math.sqrt(np.mean(np.sum((q[converged] - truth) ** 2, axis=1)))
+
+        q, _, converged, _ = estimate_trials(rtt, depth, layout, ssp, noise, config)
+        bearing = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, len(rtt))
+        q0 = depth_anchored_start(depth, layout[None])
+        q0[:, 0] += 50.0 * np.cos(bearing)
+        q0[:, 1] += 50.0 * np.sin(bearing)
+        far, _, far_converged, singular = _estimate_batch(
+            rtt, depth, layout, ssp, noise, config, q0
+        )
+        assert converged.all() and far_converged.all() and not singular.any()
+        assert abs(rmse(far, far_converged) / rmse(q, converged) - 1.0) <= 0.02
+
+
 class TestSharedLayout:
     """One (N, 3) layout shared by every sample, never copied per sample.
 
@@ -560,3 +605,83 @@ class TestConditionScreen:
         want = eigvalsh_rule(jtj)
         assert 0 < want.sum() < 100
         np.testing.assert_array_equal(_ill_conditioned(jtj), want)
+
+
+class TestNormalSteps:
+    """_normal_steps: cofactor steps where the screen clears, LAPACK elsewhere."""
+
+    @staticmethod
+    def sums(m, g):
+        six = m[:, (0, 1, 2, 0, 1, 0), (0, 1, 2, 1, 2, 2)].T
+        return np.concatenate([six, g.T])
+
+    def test_cofactor_steps_match_lapack(self, monkeypatch):
+        # seeded SPD matrices: eigenvalues s, s/mid and s/cond with cond
+        # from 1 to 1e11, mid between 1 and cond, entry scale s from 1e-6
+        # to 1e6, in random orientations
+        rng = np.random.default_rng(4)
+        n = 4000
+        rot, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+        cond = 10.0 ** rng.uniform(0.0, 11.0, n)
+        mid = cond ** rng.uniform(0.0, 1.0, n)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        lam = scale[:, None] * np.stack([np.ones(n), 1.0 / mid, 1.0 / cond], axis=1)
+        m = np.einsum("bij,bj,bkj->bik", rot, lam, rot)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        g = rng.normal(size=(n, 3)) * scale[:, None]
+        # keep the matrices the screen clears without an eigenvalue solve
+        bad, cleared = _condition_screen(m)
+        assert not bad.any()
+        m, g = m[cleared], g[cleared]
+        assert len(m) > 2000
+        want = np.linalg.solve(m, g[..., None])[..., 0]
+        lapack_calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: lapack_calls.append(a) or solve(a, b))
+        got, bad = _normal_steps(self.sums(m, g))
+        assert not lapack_calls and not bad.any()
+        # Tolerance: the relative gap stays below kappa * eps, where kappa
+        # = tr^3 / det >= cond is the screen's bound (at most 1e11 here).
+        # Both solves err by about cond * eps, but the cofactor
+        # determinant loses digits in proportion to kappa, not cond: with
+        # two small eigenvalues the gap reaches 2000 cond * eps, and
+        # 0.07 kappa * eps at most.
+        kappa = np.trace(m, axis1=1, axis2=2) ** 3 / np.linalg.det(m)
+        eigen = np.linalg.eigvalsh(m)
+        assert (kappa >= eigen[:, -1] / eigen[:, 0] * (1.0 - 1e-6)).all()
+        gap = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert (gap <= kappa * np.finfo(float).eps).all()
+
+    def test_lapack_takes_exactly_the_screened_matrices(self, monkeypatch):
+        # normal matrices that the tr^3 / det bound does not clear go
+        # through eigvalsh; the ones eigvalsh then passes, and only
+        # they, are solved by LAPACK
+        rng = np.random.default_rng(2)
+        design = rng.normal(size=(500, 9, 3)) * rng.lognormal(0.0, 4.0, size=(500, 1, 3))
+        jtj = np.einsum("bni,bnj->bij", design, design)
+        g = rng.normal(size=(500, 3))
+        screened, solved = [], []
+        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: screened.append(a) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        _, bad = _normal_steps(self.sums(jtj, g))
+        [checked] = screened
+        [fallback] = solved
+        np.testing.assert_array_equal(bad, eigvalsh_rule(jtj))
+        passed = ~eigvalsh_rule(checked)
+        assert 0 < passed.sum() < len(checked) < 500
+        np.testing.assert_array_equal(fallback, checked[passed])
+
+    def test_estimator_routes_screened_matrices_to_lapack(self, monkeypatch):
+        # the 400-trial seed-0 fig4a cube n=5 cell has a few normal
+        # matrices the tr^3 / det bound does not clear
+        spec = harness.fig4a_spec(master_seed=0, trials=400)
+        [args] = recorded_inputs(spec, [("cube", 5.0)])
+        screened, solved = [], []
+        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: screened.append(a) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        estimate_trials(*args)
+        checked, fallback = np.concatenate(screened), np.concatenate(solved)
+        assert len(checked) > 0
+        np.testing.assert_array_equal(fallback, checked[~eigvalsh_rule(checked)])

@@ -5,7 +5,7 @@ seed 0: fig3 as it is, and fig4a, fig5 and fig6 at 50 trials.  A change
 to the ray kernel, the noise model, the estimator or the harness that
 moves a single byte of a seeded result fails here, at one and at two
 sweep workers.  The digests pin the recorded files themselves.  The
-files are written under seeding contract 2 (their "# contract 2" line);
+files are written under contract 3 (their "# contract 3" line);
 a change that moves the bytes on purpose bumps that line, rewrites the
 files and updates the digests.
 """
@@ -28,10 +28,10 @@ SPECS = {
 }
 
 SHA256 = {
-    "fig3": "47a837cc574f20de66393dd9cb478ce01a709c62026342ebd2b8c5c6e2d25b4a",
-    "fig4a": "e735234a9e3c4acdf741310511b517378427d7447d4feceda9b7db3fa60cb061",
-    "fig5": "07d93afb56f79065acbd04ee4a4784537f9b5acaeea2ce81718c56deca7b6330",
-    "fig6": "4e37c583fe3cb9250e47a12e3399506b4af9dca9a459fbebdd960b9e91d6a76f",
+    "fig3": "8d1e0ac04235968401e17ee8729956f4ecfca57de1ed9111801d5bfd3487f1b3",
+    "fig4a": "4219217847e8d4e486a2a4159097dadcc9a1fdd9f404e69c9005d526cdf92088",
+    "fig5": "86c7a068faec15de63e6e1b1f3f97bdbd46e2d0fec1a91c0aab62d202fdb5aed",
+    "fig6": "2ec0a8f8bb3b92c530f1bd2d83cd32199e4d069fcc31e0ebf4ece458f1fc518e",
 }
 
 

@@ -313,6 +313,14 @@ class TestCsv:
         assert CSV_CONTRACT not in path.read_text()
         assert load_csv(str(path)).rows == ROWS
 
+    def test_reads_contract_2_file(self, tmp_path):
+        # contract 2 files share the header; only the line above it differs
+        path = tmp_path / "v2.csv"
+        text = csv_text(ResultTable(rows=ROWS), comments=("run A",))
+        path.write_text(text.replace(CSV_CONTRACT + "\n", "# contract 2\n"))
+        assert CSV_CONTRACT not in path.read_text()
+        assert load_csv(str(path)).rows == ROWS
+
     def test_malformed_row_names_path_and_line(self, tmp_path):
         good = _row_line(ROWS[0])
         for bad in ("single,0.0,usc,8,1.0,2.0", good + ",extra", good.replace(",", ",x", 1)):
