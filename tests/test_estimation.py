@@ -642,9 +642,9 @@ class TestNormalSteps:
         assert not lapack_calls and not bad.any()
         # Tolerance: the relative gap stays below kappa * eps, where kappa
         # = tr^3 / det >= cond is the screen's bound (at most 1e11 here).
-        # Both solves err by about cond * eps, but the cofactor
-        # determinant loses digits in proportion to kappa, not cond: with
-        # two small eigenvalues the gap reaches 2000 cond * eps, and
+        # LAPACK errs by about cond * eps, but the cofactor determinant
+        # loses digits in proportion to kappa, not cond: with
+        # two small eigenvalues the gap reaches 5000 cond * eps here, and
         # 0.07 kappa * eps at most.
         kappa = np.trace(m, axis1=1, axis2=2) ** 3 / np.linalg.det(m)
         eigen = np.linalg.eigvalsh(m)
