@@ -8,13 +8,13 @@ fig{name}.svg in the output directory are the files the command line
 writes, header lines included.
 
 The Monte Carlo figures take a few minutes at the default 2000 trials;
-pass --trials 200 for a quick pass.  The sweep cells run on as many
-worker threads as the process may use CPUs, unless --workers says
-otherwise; the output is the same for any worker count.
+pass --trials 200 for a quick pass.  The sweep cells run serially
+unless --workers asks for more threads: on a 2-core machine a second
+thread makes fig4a slower and fig5 no faster.  The output is the same
+for any worker count.
 """
 
 import argparse
-import os
 import pathlib
 import sys
 import time
@@ -23,13 +23,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from auvgeom import cli
 from auvgeom.harness import DEFAULT_TRIALS, FIGURE_SPECS
-
-
-def usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def parse_args(argv):
@@ -41,10 +34,7 @@ def parse_args(argv):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument(
-        "--workers", type=int, default=usable_cpus(),
-        help="sweep worker threads (default: the CPUs this process may use)",
-    )
+    parser.add_argument("--workers", type=int, default=1, help="sweep worker threads (default: 1)")
     return parser.parse_args(argv)
 
 

@@ -200,31 +200,23 @@ def optimize_k(
     def g(kk: float) -> float:
         return k_objective(kk, z, n, ssp, noise) / f0
 
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iterations_Nmax:
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations_Nmax + 1):
         h = cfg.fd_step_h * k
         grad = (g(k + h) - g(k - h)) / (2.0 * h)
         if abs(grad) <= cfg.precision_eps:
-            converged = True
             break
         step = cfg.step_size_t
         for _ in range(60):
             k_new = k - step * grad
-            if k_new > 0:
-                f_new = g(k_new)
-                if f_new <= f_k:
-                    break
+            if k_new > 0 and (f_new := g(k_new)) <= f_k:
+                break
             step *= 0.5
         else:
             if k - step * grad <= 0:
                 raise NonPositiveK("cannot keep the iterate positive")
             break  # no descent at float resolution; treat as stationary
         k, f_k = k_new, f_new
-    else:
-        return KSearchResult(k, iterations, False, f_k * f0)
-    return KSearchResult(k, iterations, converged or abs(grad) <= cfg.precision_eps, f_k * f0)
+    return KSearchResult(k, iterations, abs(grad) <= cfg.precision_eps, f_k * f0)
 
 
 def grid_search_k(

@@ -14,24 +14,26 @@ pass instead of a Python loop per trial.  ``estimate_trials`` is its one
 entry point; it starts every sample at its anchors' horizontal centroid,
 at the depth the sensor read.
 
-Each iteration backtracks on the cost with the weights frozen: it tries
-the full step, then the halved steps 1/2 .. 1/2**14 in groups of 1, 2,
-4 and 7 scales, one broadcast kernel call per group over the samples
-still rejected, and takes the first scale that passes.  The ray kernel's
+Each iteration backtracks on the cost with the weights frozen over one
+tuple of candidate scales: the full step is the first group, and the
+halved steps 1/2 .. 1/2**14 follow in groups of 1, 2, 4 and 7 scales.
+Each group is one broadcast kernel call over the samples still rejected,
+and a sample takes the first scale that passes.  The ray kernel's
 travel times and Jacobian rows at an accepted candidate become the next
 iterate's, so the kernel runs once on the starting points and then only
 on candidates.  A normal matrix counts as singular under the same
 screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
 
-A sample stops by one of two rules.  When the Newton decrement of its
+A sample stops in one of two places.  The first comes before the line
+search: its normal matrix is singular; or the Newton decrement of its
 undamped step, delta . J^T W r, the whitened-cost decrease that step
-predicts, falls below DECREMENT_TOL, it takes that step and is done;
-this is tested before damping and the line search.  The final step is
-taken because the iterate that passed the test still sits up to one
-step from the solution: stopping without it leaves noiseless solves
-millimetres from the truth.  Otherwise a sample stops once an accepted
-step is no longer than ``position_tolerance``, or when the line search
-rejects every scale.
+predicts, falls below DECREMENT_TOL, and it takes that step and is
+done; or its damped step runs away past DIVERGENCE_SPAN_FACTOR anchor
+spans.  The final step is taken because the iterate that passed the
+decrement test still sits up to one step from the solution: stopping
+without it leaves noiseless solves millimetres from the truth.  The
+second comes after the line search: the accepted step is no longer
+than ``position_tolerance``, or the line search rejected every scale.
 
 The normal equations are solved in closed form: one cofactor pass over
 the six sums of J^T W J gives the singular screen its determinant and
@@ -106,10 +108,12 @@ class EstimatorConfig:
             raise ValueError("position_tolerance must be positive")
 
 
-# the halved steps 1/2 .. 1/2**(BACKTRACK_LIMIT - 1) in groups of 1, 2, 4
-# and 7 scales; ldexp keeps every scale an exact power of two
-_HALVING_SCALES = tuple(
-    np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((1, 2), (2, 4), (4, 8), (8, BACKTRACK_LIMIT))
+# the line search's candidate steps, one kernel call per group: the full
+# step, then the halved steps 1/2 .. 1/2**(BACKTRACK_LIMIT - 1) in groups
+# of 1, 2, 4 and 7 scales; ldexp keeps every scale an exact power of two
+_STEP_SCALES = tuple(
+    np.ldexp(1.0, -np.arange(lo, hi))
+    for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 8), (8, BACKTRACK_LIMIT))
 )
 # J^T W J, row-major, from the 00, 11, 22, 01, 12 and 02 sums that
 # _estimate_batch accumulates
@@ -183,8 +187,8 @@ def _estimate_batch(
     ``p_b`` is the (batch, N, 3) anchor stack, or the (N, 3) layout every
     sample shares, and ``q0`` the (batch, 3) starting points.  Returns
     (q, iterations, converged, singular).  A sample leaves the active set
-    when it converges, diverges, or hits a singular normal matrix;
-    finished samples are frozen while the rest continue.
+    at one of the two exits the module docstring names; finished
+    samples are frozen while the rest continue.
 
     The travel times and Jacobian rows at every sample's current point
     are kept alongside it: the kernel runs once on the starting points,
@@ -208,9 +212,9 @@ def _estimate_batch(
     prev_step = np.zeros((batch, 3))
 
     for _ in range(config.max_iterations):
-        if not active.any():
-            break
         idx = np.flatnonzero(active)
+        if not idx.size:
+            break
         qa = q[idx]
         sigma2 = _sigma2(qa, p_b if shared else p_b[idx], noise)
         sigma = np.sqrt(sigma2)
@@ -240,68 +244,47 @@ def _estimate_batch(
             acc[2] += sw * sw
             acc[8] += sw * resid[:, n]
         delta, bad = _normal_steps(acc)
-        if bad.any():
-            singular[idx[bad]] = True
-            active[idx[bad]] = False
-        # positions in idx of the samples that take a step
+        # positions in idx of the samples that take a step; a singular
+        # sample's step is garbage and goes no further
         pos = np.flatnonzero(~bad)
-        if not pos.size:
-            continue
-        sub = idx[pos]
-        delta = delta[pos]
+        sub, delta = idx[pos], delta[pos]
         iterations[sub] += 1
-
         # Newton decrement delta . J^T W r, the cost decrease the undamped
         # step predicts: below DECREMENT_TOL the sample takes that step
         # and is done
         final = np.sum(delta * acc[6:, pos].T, axis=1) < DECREMENT_TOL
-        if final.any():
-            fin = sub[final]
-            q[fin] += delta[final]
-            converged[fin] = True
-            active[fin] = False
-            rest = ~final
-            pos, sub, delta = pos[rest], sub[rest], delta[rest]
-            if not pos.size:
-                continue
-
+        q[sub[final]] += delta[final]
+        # damping and the runaway test see the final samples too; they
+        # leave at the first exit, and their gamma is never read again
         reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
         g = gamma[sub]
         g = np.where(reversed_dir, np.maximum(g * 0.5, DAMPING_FLOOR), np.minimum(g * 2.0, 1.0))
         gamma[sub] = g
         delta *= g[:, None]
         step_norm = np.linalg.norm(delta, axis=1)
-        runaway = step_norm > max_step[sub]
-        if runaway.any():
-            active[sub[runaway]] = False
-        keep = ~runaway
-        if not keep.any():
-            continue
-        pos = pos[keep]
-        sub = sub[keep]
-        delta = delta[keep]
-        step_norm = step_norm[keep]
+        # first exit: the singular, decrement-final and runaway samples
+        leave = final | (step_norm > max_step[sub])
+        singular[idx[bad]] = True
+        converged[sub[final]] = True
+        active[np.concatenate((idx[bad], sub[leave]))] = False
+        keep = ~leave
+        pos, sub, delta, step_norm = pos[keep], sub[keep], delta[keep], step_norm[keep]
         frozen_s2 = sigma2[pos]
         ref_sse = cur_sse[pos]
         limit = ref_sse + SSE_SLACK * (1.0 + ref_sse)
 
-        # backtracking: take the first of the steps 1, 1/2, ... 1/2**14
-        # whose frozen-weight cost does not worsen; after the full step,
-        # each group of halved steps costs one kernel call over the
-        # samples it still has to place
-        q0 = q[sub]
+        # backtracking: take the first scale of _STEP_SCALES whose
+        # frozen-weight cost does not worsen, one kernel call per group
+        # over the samples it still has to place; scale 0 marks a sample
+        # that every scale failed
+        base = q[sub]
         p_s = p_b if shared else p_b[sub]
-        cand = q0 + delta
-        t_c, rows_c = _time_and_rows(cand, p_s, ssp)
-        accepted = _weighted_sse(t_c, cand, rtt[sub], depth[sub], frozen_s2, w_depth) <= limit
-        hit = sub[accepted]
-        q[hit], t_q[hit], rows_q[hit] = cand[accepted], t_c[accepted], rows_c[accepted]
-        scale = np.ones(len(sub))
-        rest = np.flatnonzero(~accepted)
-        for scales in _HALVING_SCALES:
+        scale = np.zeros(len(sub))
+        rest = np.arange(len(sub))
+        for scales in _STEP_SCALES:
             if not rest.size:
                 break
-            cand = q0[rest, None] + scales[:, None] * delta[rest, None]
+            cand = base[rest, None] + scales[:, None] * delta[rest, None]
             t_c, rows_c = _time_and_rows(cand, p_s if shared else p_s[rest, None], ssp)
             rs = sub[rest]
             ok = _weighted_sse(
@@ -312,22 +295,17 @@ def _estimate_batch(
             pick = (np.flatnonzero(found), first)
             hit = rs[found]
             q[hit], t_q[hit], rows_q[hit] = cand[pick], t_c[pick], rows_c[pick]
-            placed = rest[found]
-            scale[placed] = scales[first]
-            accepted[placed] = True
+            scale[rest[found]] = scales[first]
             rest = rest[~found]
+        prev_step[sub] = scale[:, None] * delta
 
-        if accepted.any():
-            ms = sub[accepted]
-            prev_step[ms] = scale[accepted, None] * delta[accepted]
-            done = scale[accepted] * step_norm[accepted] <= config.position_tolerance
-            converged[ms[done]] = True
-            active[ms[done]] = False
-        if rest.size:
-            # no decrease at float resolution: accept the point as final
-            ss = sub[rest]
-            converged[ss] = step_norm[rest] <= config.position_tolerance
-            active[ss] = False
+        # second exit: an accepted step no longer than position_tolerance,
+        # or no decrease at float resolution (scale 0), which counts as
+        # converged only if the damped step itself was that short
+        stalled = scale == 0
+        stop = stalled | (scale * step_norm <= config.position_tolerance)
+        converged[sub[stop]] = ~stalled[stop] | (step_norm[stop] <= config.position_tolerance)
+        active[sub[stop]] = False
 
     return q, iterations, converged, singular
 

@@ -211,6 +211,18 @@ class TestOptimizeK:
         with pytest.raises(NonPositiveK):
             optimize_k(50.0, 4, SSP, DD_NOISE)
 
+    def test_no_descent_at_float_resolution_stops(self, monkeypatch):
+        # a kink at k = 1 steeper than the slope: every halved step that
+        # keeps k positive raises the objective, down to float resolution
+        monkeypatch.setattr(
+            deployment, "k_objective",
+            lambda k, *rest: 1.0 + 1e6 * abs(k - 1.0) + 1e4 * (k - 1.0),
+        )
+        res = optimize_k(50.0, 4, SSP, DD_NOISE)
+        assert res.k_star == 1.0
+        assert res.iterations == 1
+        assert res.converged is False
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(initial_k=0.0)

@@ -33,6 +33,9 @@ from auvgeom.fisher import (
 from auvgeom.geometry import Position, SoundSpeedProfile
 from adapters import kernel_pair
 
+# a singular sample's garbage step must stay inside np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
 TRUTH = Position(50.0, 50.0, 50.0)
 USC8 = usc_positions(TRUTH, 8, 1.0)
