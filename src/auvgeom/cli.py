@@ -201,6 +201,38 @@ def _validate_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = "")
             raise ConfigError(f"config key {where!r} expects {expected}, got {value!r}")
 
 
+def _ordered_box(box) -> bool:
+    (x0, x1), (y0, y1), (z0, z1) = box
+    return x0 <= x1 and y0 <= y1 and 0 <= z0 <= z1
+
+
+# the value range of each leaf that has one, checked once the types are
+# right, so that a bad value is reported under its own key
+_RANGES = (
+    ("auv", lambda v: v[2] > 0, "must have z > 0 (the AUV below the surface)"),
+    ("ssp.surface_speed_b", lambda v: v > 0, "must be positive"),
+    ("ssp.steepness_a", lambda v: v > 0, "must be positive"),
+    ("noise.sigma_ms", lambda v: v > 0, "must be positive"),
+    ("noise.beta", lambda v: 1 <= v <= 2, "must lie in [1, 2]"),
+    ("noise.l0", lambda v: v > 0, "must be positive"),
+    ("deployment.scale_k", lambda v: v is None or v > 0, "must be positive"),
+    ("deployment.side", lambda v: v is None or v > 0, "must be positive"),
+    ("deployment.box", lambda v: v is None or _ordered_box(v),
+     "must have ordered bounds and depths >= 0"),
+    ("movement.delta_meters", lambda v: v >= 0, "must be >= 0"),
+    ("trials", lambda v: v >= 1, "must be >= 1"),
+    ("master_seed", lambda v: v >= 0, "must be >= 0"),
+    ("workers", lambda v: v >= 1, "must be >= 1"),
+)
+
+
+def _check_ranges(cfg: dict) -> None:
+    for key, ok, rule in _RANGES:
+        value = functools.reduce(dict.__getitem__, key.split("."), cfg)
+        if not ok(value):
+            raise ConfigError(f"config key {key!r} {rule}, got {value!r}")
+
+
 def _build_noise(cfg: dict) -> NoiseModel:
     section = cfg["noise"]
     if section["kind"] == "constant_variance":
@@ -441,6 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         _validate_config(cfg)
+        _check_ranges(cfg)
         if args.command == "crlb":
             return cmd_crlb(args, cfg)
         if args.command == "optimize-k":

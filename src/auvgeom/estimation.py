@@ -35,6 +35,16 @@ without it leaves noiseless solves millimetres from the truth.  The
 second comes after the line search: the accepted step is no longer
 than ``position_tolerance``, or the line search rejected every scale.
 
+A sample iterates at most ``max_iterations`` times, counted from when
+it enters the active set.  Without a window every sample enters at the
+start.  With ``window`` w, at most w samples are active at once: the
+first w enter at the start, and each iteration admits waiting samples
+in input order until w are active again.  A sample's trajectory depends
+only on its own inputs, so the window moves no output bit; it lets a
+caller put several Monte-Carlo cells through one call, whose long tails
+of a few slow samples then share one loop, while the per-iteration
+arrays stay one cell in size.
+
 The normal equations are solved in closed form: one cofactor pass over
 the six sums of J^T W J gives the singular screen its determinant and
 every matrix that the screen's tr^3 / det bound clears (cond <= 1e11)
@@ -154,6 +164,53 @@ def _normal_steps(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return delta, bad
 
 
+def _normal_sums(
+    rows: np.ndarray,
+    t: np.ndarray,
+    rtt: np.ndarray,
+    depth: np.ndarray,
+    q: np.ndarray,
+    sigma2: np.ndarray,
+    sw: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nine normal sums (9, batch) and the whitened cost (batch,) at q.
+
+    rows (batch, N, 3) and t (batch, N) are the kernel's Jacobian rows and
+    travel times at q, sigma2 (batch, N) the timing variances there and
+    sw the depth row's weight.  The sums are ``_normal_steps``' input.
+    Its per-row products, the largest arrays of an iteration, are freed
+    on return, before the line search allocates its candidates.
+    """
+    batch, n = t.shape
+    sigma = np.sqrt(sigma2)
+    # whitened timing rows with the sample index last, (N, 3, batch),
+    # and the N timing residuals followed by the depth residual
+    design = np.empty((n, 3, batch))
+    resid = np.empty((batch, n + 1))
+    # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
+    # then those of J^T W r
+    prod = np.empty((n, 9, batch))
+    # an overflowed variance gives NaN residuals, screened out as singular
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.divide(rows.transpose(1, 2, 0), sigma.T[:, None], out=design)
+        np.divide(rtt - t, sigma, out=resid[:, :n])
+        resid[:, n] = sw * (depth - q[:, 2])
+        cur_sse = np.sum(resid**2, axis=1)
+        np.multiply(design, design, out=prod[:, :3])
+        np.multiply(design[:, :2], design[:, 1:], out=prod[:, 3:5])
+        np.multiply(design[:, 0], design[:, 2], out=prod[:, 5])
+        np.multiply(design, resid[:, :n].T[:, None], out=prod[:, 6:])
+        # summed from zero over the timing rows in order, then the depth
+        # pseudo-row (0, 0, sw): the order of one sum over all N + 1
+        # rows, so the depth row is never built
+        acc = np.zeros((9, batch))
+        for row in prod:
+            acc += row
+        acc[2] += sw * sw
+        acc[8] += sw * resid[:, n]
+    return acc, cur_sse
+
+
 def _weighted_sse(
     t: np.ndarray,
     q: np.ndarray,
@@ -181,14 +238,19 @@ def _estimate_batch(
     noise: NoiseModel,
     config: EstimatorConfig,
     q0: np.ndarray,
+    *,
+    window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every sample's Gauss-Newton iteration in lockstep from q0.
 
     ``p_b`` is the (batch, N, 3) anchor stack, or the (N, 3) layout every
     sample shares, and ``q0`` the (batch, 3) starting points.  Returns
     (q, iterations, converged, singular).  A sample leaves the active set
-    at one of the two exits the module docstring names; finished
-    samples are frozen while the rest continue.
+    at one of the two exits the module docstring names, or after
+    ``config.max_iterations`` iterations of its own; finished samples are
+    frozen while the rest continue.  At most ``window`` samples (None:
+    all of them) are active at once, the rest admitted in input order as
+    others leave.
 
     The travel times and Jacobian rows at every sample's current point
     are kept alongside it: the kernel runs once on the starting points,
@@ -207,42 +269,23 @@ def _estimate_batch(
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
-    active = np.ones(batch, dtype=bool)
+    active = np.zeros(batch, dtype=bool)
     gamma = np.ones(batch)
     prev_step = np.zeros((batch, 3))
+    window = batch if window is None else window
+    admitted = 0
 
-    for _ in range(config.max_iterations):
+    while True:
+        # refill the active set up to the window, in input order
+        fill = min(window - np.count_nonzero(active), batch - admitted)
+        active[admitted : admitted + fill] = True
+        admitted += fill
         idx = np.flatnonzero(active)
         if not idx.size:
             break
         qa = q[idx]
         sigma2 = _sigma2(qa, p_b if shared else p_b[idx], noise)
-        sigma = np.sqrt(sigma2)
-        # whitened timing rows with the sample index last, (N, 3, active),
-        # and the N timing residuals followed by the depth residual
-        design = np.empty((n, 3, len(idx)))
-        resid = np.empty((len(idx), n + 1))
-        # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
-        # then those of J^T W r
-        prod = np.empty((n, 9, len(idx)))
-        # an overflowed variance gives NaN residuals, screened out as singular
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.divide(rows_q[idx].transpose(1, 2, 0), sigma.T[:, None], out=design)
-            np.divide(rtt[idx] - t_q[idx], sigma, out=resid[:, :n])
-            resid[:, n] = sw * (depth[idx] - qa[:, 2])
-            cur_sse = np.sum(resid**2, axis=1)
-            np.multiply(design, design, out=prod[:, :3])
-            np.multiply(design[:, :2], design[:, 1:], out=prod[:, 3:5])
-            np.multiply(design[:, 0], design[:, 2], out=prod[:, 5])
-            np.multiply(design, resid[:, :n].T[:, None], out=prod[:, 6:])
-            # summed from zero over the timing rows in order, then the
-            # depth pseudo-row (0, 0, sw): the order of one sum over all
-            # N + 1 rows, so the depth row is never built
-            acc = np.zeros((9, len(idx)))
-            for row in prod:
-                acc += row
-            acc[2] += sw * sw
-            acc[8] += sw * resid[:, n]
+        acc, cur_sse = _normal_sums(rows_q[idx], t_q[idx], rtt[idx], depth[idx], qa, sigma2, sw)
         delta, bad = _normal_steps(acc)
         # positions in idx of the samples that take a step; a singular
         # sample's step is garbage and goes no further
@@ -301,11 +344,12 @@ def _estimate_batch(
 
         # second exit: an accepted step no longer than position_tolerance,
         # or no decrease at float resolution (scale 0), which counts as
-        # converged only if the damped step itself was that short
+        # converged only if the damped step itself was that short; a
+        # sample still going leaves unconverged at its iteration cap
         stalled = scale == 0
         stop = stalled | (scale * step_norm <= config.position_tolerance)
         converged[sub[stop]] = ~stalled[stop] | (step_norm[stop] <= config.position_tolerance)
-        active[sub[stop]] = False
+        active[sub[stop | (iterations[sub] >= config.max_iterations)]] = False
 
     return q, iterations, converged, singular
 
@@ -317,12 +361,16 @@ def estimate_trials(
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig | None = None,
+    *,
+    window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array-in, array-out batch solve for Monte-Carlo harnesses.
 
     rtt is (trials, N), depth (trials,), anchor_stack (N, 3) shared or
     (trials, N, 3) per trial.  Returns (q_hat, iterations, converged,
     singular); singular trials are non-converged rather than raised.
+    window, when given, caps how many trials iterate at once; it bounds
+    the working memory of a long batch and moves no output bit.
     """
     rtt = np.asarray(rtt, dtype=float)
     depth = np.asarray(depth, dtype=float)
@@ -332,10 +380,12 @@ def estimate_trials(
         raise TooFewAnchors(f"need at least 4 anchors, got {n}")
     if p_b.shape not in ((n, 3), (batch, n, 3)):
         raise ValueError("anchor stack shape does not match the samples")
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1")
     q0 = np.empty((batch, 3))
     q0[:, :2] = p_b[..., :2].mean(axis=-2)
     q0[:, 2] = depth
     q, iters, conv, singular = _estimate_batch(
-        rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0
+        rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0, window=window
     )
     return q, iters, conv & ~singular, singular

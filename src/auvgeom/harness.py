@@ -7,11 +7,15 @@ over a list of values for one or more named schemes and produce a flat
 result table that exports to CSV and SVG.
 
 Reproducibility contract 3: a cell (one scheme at one axis value) runs
-whole in one worker and draws its movement, deployment and noise streams,
+whole in one task and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
 count without per-trial generators, and trial t of every scheme sees the
-same deviates.  Contract 3 draws the streams of contract 2; its rows
+same deviates.  A task is one cell, or a group of cells that share an
+anchor count, sound-speed profile and noise model and whose trials go
+through one estimator call (see ``_task_groups``); the Gauss-Newton
+trajectories of different trials are independent, so grouping moves no
+byte.  Contract 3 draws the streams of contract 2; its rows
 differ because the estimator stops on the Newton decrement and solves
 its normal equations from cofactors.  Contract 1 seeded each trial on
 its own.
@@ -31,6 +35,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +183,10 @@ class SweepSpec:
             raise ValueError("axis values must be strictly increasing")
 
 
+# one sweep cell: (scheme, variant, axis value)
+_SweepCell = tuple[str, Variant, float]
+
+
 @dataclass(frozen=True)
 class Row:
     axis_name: str
@@ -285,13 +294,32 @@ def _measurements(
     return rtt, depth, rows, sigma2
 
 
-def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
-    """One Monte-Carlo execution: (rmse, trace, diverged, k_used, n).
+class _Cell(NamedTuple):
+    """What a cell's row needs besides its estimates.
 
-    Each stream is drawn once, as one block over the cell's trials: unit
-    movement directions, random layouts, then the timing deviates with
-    the depth deviate in the last column.  Travel times, noise levels
-    and the bound come from one batched kernel call.
+    rows and sigma2 are the Jacobian rows and timing variances at the
+    true positions, which the bound reuses.
+    """
+
+    truth: np.ndarray
+    rows: np.ndarray
+    sigma2: np.ndarray
+    k_used: float
+    n: int
+
+
+# a cell's (rmse, trace, diverged, k_used, n), or the error it failed with
+_CellResult = tuple[float, float, int, float, int] | AuvgeomError
+
+
+def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
+    """A cell's trials up to estimation, each stream drawn once as a block.
+
+    The blocks are the unit movement directions, the random layouts, then
+    the timing deviates with the depth deviate in the last column.  Travel
+    times, noise levels and the bound's rows come from one batched kernel
+    call.  Returns the cell and its estimator inputs: the anchor stack,
+    the travel times and the depth readings.
     """
     anchors0, k_used, n = _fixed_layout(s)
     move = s.movement
@@ -314,26 +342,77 @@ def _run_mc(s: Scenario) -> tuple[float, float, int, float, int]:
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
+    return _Cell(truth, rows, sigma2, k_used, n), anchor_stack, rtt, depth_meas
 
+
+def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
+    """One Monte-Carlo execution of a group of cells, in one estimator call.
+
+    The cells share their anchor count, sound-speed profile and noise
+    model.  Each draws its trials on its own (``_draw_cell``); their
+    trials then go through one ``estimate_trials`` call, at most one
+    cell's worth iterating at a time.  A lone cell keeps its (N, 3)
+    shared layout; in a group it is broadcast to one layout per trial.
+    Returns one result per cell, in order.
+    """
+    out: list[_CellResult | _Cell] = []
+    stacks, rtts, depths = [], [], []
+    for s in cells:
+        try:
+            cell, stack, rtt, depth = _draw_cell(s)
+        except AuvgeomError as e:
+            out.append(e)
+            continue
+        out.append(cell)
+        stacks.append(stack)
+        rtts.append(rtt)
+        depths.append(depth)
+    if not rtts:
+        return out
+    if len(stacks) == 1:
+        stack = stacks[0]
+    else:
+        stack = np.concatenate([np.broadcast_to(p, (*t.shape, 3)) for p, t in zip(stacks, rtts)])
+    window = max(map(len, rtts))
+    rtt, depth = np.concatenate(rtts), np.concatenate(depths)
+    del stacks, rtts, depths  # the group's arrays hold the cells' inputs now
     q_hat, _, converged, _ = estimate_trials(
-        rtt, depth_meas, anchor_stack, s.ssp, s.noise, EstimatorConfig()
+        rtt, depth, stack, cells[0].ssp, cells[0].noise, EstimatorConfig(), window=window
     )
-    if not converged.any():
-        raise NoConvergedTrials(f"all {s.trials} trials failed to converge")
-    err2 = np.sum((q_hat[converged] - truth[converged]) ** 2, axis=1)
-    rmse_val = float(np.sqrt(err2.mean()))
-    trace = _augmented_trace(rows, sigma2)
-    return rmse_val, trace, int((~converged).sum()), k_used, n
+    end = 0
+    for i, cell in enumerate(out):
+        if isinstance(cell, AuvgeomError):
+            continue
+        start, end = end, end + len(cell.truth)
+        conv = converged[start:end]
+        if not conv.any():
+            out[i] = NoConvergedTrials(f"all {len(cell.truth)} trials failed to converge")
+            continue
+        err2 = np.sum((q_hat[start:end][conv] - cell.truth[conv]) ** 2, axis=1)
+        rmse_val = float(np.sqrt(err2.mean()))
+        trace = _augmented_trace(cell.rows, cell.sigma2)
+        out[i] = (rmse_val, trace, int((~conv).sum()), cell.k_used, cell.n)
+    return out
+
+
+def _anchor_count(s: Scenario) -> int:
+    dep = s.deployment
+    return len(dep.anchors) if isinstance(dep, FixedAnchors) else dep.n
+
+
+def _draws_layouts(s: Scenario) -> bool:
+    # whether the cell draws a layout per trial rather than sharing one
+    dep = s.deployment
+    return isinstance(s.movement, RsUsc) or (isinstance(dep, Random) and dep.seed is None)
 
 
 def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> Row:
     # a row before any result: NaN estimates, nothing diverged
-    dep = s.deployment
     return Row(
         axis_name=axis_name,
         axis_value=axis_value,
         scheme=scheme,
-        n_anchors=len(dep.anchors) if isinstance(dep, FixedAnchors) else dep.n,
+        n_anchors=_anchor_count(s),
         k=float("nan"),
         rmse_m=float("nan"),
         trace_crlb_m2=float("nan"),
@@ -343,8 +422,10 @@ def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> R
     )
 
 
-def _mc_row(row: Row, s: Scenario) -> Row:
-    rmse_val, trace, diverged, k_used, n = _run_mc(s)
+def _mc_row(row: Row, result: _CellResult) -> Row:
+    if isinstance(result, AuvgeomError):
+        return replace(row, note=f"{type(result).__name__}: {result}")
+    rmse_val, trace, diverged, k_used, n = result
     return replace(
         row, n_anchors=n, k=k_used, rmse_m=rmse_val, trace_crlb_m2=trace, diverged=diverged
     )
@@ -352,8 +433,11 @@ def _mc_row(row: Row, s: Scenario) -> Row:
 
 def run_scenario(s: Scenario, axis_name: str = "single", axis_value: float = 0.0) -> Row:
     """Execute one scenario and summarize it as a table row."""
+    [result] = _run_mc([s])
+    if isinstance(result, AuvgeomError):
+        raise result
     scheme = _scheme_label(s.deployment, s.movement)
-    return _mc_row(_blank_row(s, axis_name, axis_value, scheme), s)
+    return _mc_row(_blank_row(s, axis_name, axis_value, scheme), result)
 
 
 def _scheme_label(dep: Deployment, move: Movement) -> str:
@@ -391,44 +475,88 @@ def _apply_axis(s: Scenario, axis: Axis, value: float) -> Scenario:
     return replace(s, deployment=replace(s.deployment, scale_k=value))
 
 
-def _sweep_one(spec: SweepSpec, scheme: str, variant: Variant, value: float) -> Row:
+def _cell_scenario(spec: SweepSpec, variant: Variant, value: float) -> Scenario:
     s = spec.base
     if variant.deployment is not None:
         s = replace(s, deployment=variant.deployment)
     if variant.movement is not None:
         s = replace(s, movement=variant.movement)
-    s = _apply_axis(s, spec.axis, value)
-    row = _blank_row(s, spec.axis.value, value, scheme)
+    return _apply_axis(s, spec.axis, value)
+
+
+def _sweep_one(spec: SweepSpec, cells: list[_SweepCell]) -> list[Row]:
+    """The rows of one task: a group of (scheme, variant, axis value) cells.
+
+    A failed cell becomes an annotated row; the others keep theirs.
+    """
+    scenarios = [_cell_scenario(spec, variant, value) for _, variant, value in cells]
+    rows = [
+        _blank_row(s, spec.axis.value, value, scheme)
+        for s, (scheme, _, value) in zip(scenarios, cells)
+    ]
     if spec.axis is Axis.SCALE_K:
         # analytic rows: no Monte-Carlo, timing-only closed form
-        with np.errstate(over="ignore"):
-            trace = k_objective(value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
-        return replace(row, k=value, trace_crlb_m2=trace, trials=0)
-    try:
-        return _mc_row(row, s)
-    except AuvgeomError as e:
-        return replace(row, note=f"{type(e).__name__}: {e}")
+        out = []
+        for row, s in zip(rows, scenarios):
+            with np.errstate(over="ignore"):
+                trace = k_objective(row.axis_value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
+            out.append(replace(row, k=row.axis_value, trace_crlb_m2=trace, trials=0))
+        return out
+    return [_mc_row(row, result) for row, result in zip(rows, _run_mc(scenarios))]
+
+
+def _sweep_cells(spec: SweepSpec) -> list[_SweepCell]:
+    """Every (scheme, variant, axis value) cell, scheme-major: the row order."""
+    schemes = spec.schemes or {_scheme_label(spec.base.deployment, spec.base.movement): Variant()}
+    return [(scheme, variant, value) for scheme, variant in schemes.items() for value in spec.values]
+
+
+def _task_groups(spec: SweepSpec, cells: list[_SweepCell]) -> list[list[int]]:
+    """Indices into cells, one list per task, in the order of their first cell.
+
+    Monte-Carlo cells that share an anchor count, sound-speed profile and
+    noise model form one task when any of them draws a layout per trial,
+    so their iteration tails share one estimator loop.  Every other cell
+    is a task of its own: merging cells that all share one layout only
+    materializes that layout per trial.
+    """
+    if spec.axis is Axis.SCALE_K:
+        return [[i] for i in range(len(cells))]
+    scenarios = [_cell_scenario(spec, variant, value) for _, variant, value in cells]
+    keys = [(_anchor_count(s), s.ssp, s.noise) for s in scenarios]
+    merged = {key for key, s in zip(keys, scenarios) if _draws_layouts(s)}
+    groups: list[list[int]] = []
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        if key not in merged:
+            groups.append([i])
+        elif key in by_key:
+            by_key[key].append(i)
+        else:
+            groups.append(by_key.setdefault(key, [i]))
+    return groups
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     """Run every (scheme, axis value) cell of the sweep.
 
     Failed cells become annotated rows instead of aborting the table.
-    Results are identical for any worker count: tasks are indexed and
-    collected in a fixed order, and all randomness is seeded per cell.
+    Results are identical for any worker count: tasks (see _task_groups)
+    are collected in a fixed order, and all randomness is seeded per cell.
     """
-    schemes = spec.schemes or {_scheme_label(spec.base.deployment, spec.base.movement): Variant()}
-    tasks = [
-        (scheme, variant, value)
-        for scheme, variant in schemes.items()
-        for value in spec.values
-    ]
+    cells = _sweep_cells(spec)
+    groups = _task_groups(spec, cells)
+
+    def task(group: list[int]) -> list[Row]:
+        return _sweep_one(spec, [cells[i] for i in group])
+
     if workers <= 1:
-        rows = [_sweep_one(spec, sc, va, v) for sc, va, v in tasks]
+        done = [task(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _sweep_one(spec, *t), tasks))
-    return ResultTable(rows=tuple(rows))
+            done = list(pool.map(task, groups))
+    by_cell = {i: row for group, rows in zip(groups, done) for i, row in zip(group, rows)}
+    return ResultTable(rows=tuple(by_cell[i] for i in range(len(cells))))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,61 @@ class TestConfigResolution:
         assert repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["noise.beta=3"], "config key 'noise.beta' must lie in [1, 2], got 3"),
+            (
+                ["noise.kind=constant_variance", "noise.sigma_ms=0"],
+                "config key 'noise.sigma_ms' must be positive, got 0",
+            ),
+            (["trials=0"], "config key 'trials' must be >= 1, got 0"),
+            (["ssp.steepness_a=-0.1"], "config key 'ssp.steepness_a' must be positive, got -0.1"),
+            (["noise.l0=0"], "config key 'noise.l0' must be positive, got 0"),
+            (["master_seed=-1"], "config key 'master_seed' must be >= 0, got -1"),
+            (["deployment.scale_k=0"], "config key 'deployment.scale_k' must be positive, got 0"),
+            (
+                ["deployment.box=[[0,1],[0,1],[-1,0]]"],
+                "config key 'deployment.box' must have ordered bounds and depths >= 0, "
+                "got [[0, 1], [0, 1], [-1, 0]]",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["crlb", "simulate"])
+    def test_out_of_range_value_names_its_key(self, capsys, tmp_path, sets, message, command):
+        argv = [arg for assignment in sets for arg in ("--set", assignment)]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path), command)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_workers_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--workers", "0", "--out", str(tmp_path), "simulate")
+        assert code == 2
+        assert err.splitlines() == ["error: config key 'workers' must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("auv", ["[0,0,0]", "[0,0,-5]"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crlb"],
+            ["optimize-k"],
+            ["simulate"],
+            ["--set", "deployment.kind=cube", "crlb"],
+            ["--set", "noise.kind=constant_variance", "optimize-k"],
+            ["--set", "deployment.scale_k=0.85", "simulate"],
+        ],
+    )
+    def test_auv_at_or_above_the_surface_names_auv(self, capsys, tmp_path, auv, argv):
+        code, out, err = run(capsys, "--set", f"auv={auv}", "--out", str(tmp_path), *argv)
+        assert code == 2
+        assert out == ""
+        z = auv.strip("[]").split(",")[-1]
+        assert err.splitlines() == [
+            f"error: config key 'auv' must have z > 0 (the AUV below the surface), got [0, 0, {z}]"
+        ]
+
     def test_config_file_then_flag_precedence(self, capsys, tmp_path):
         doc = {"deployment": {"scale_k": 0.85}, "trials": 30, "master_seed": 3}
         cfg = tmp_path / "run.json"

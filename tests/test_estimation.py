@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auvgeom import harness
-from auvgeom.deployment import cube_positions, usc_positions
+from auvgeom import estimation, harness
+from auvgeom.deployment import cube_positions, default_box_for, random_layouts, usc_positions
 from auvgeom.errors import TooFewAnchors
 from auvgeom.estimation import (
     BACKTRACK_LIMIT,
@@ -423,14 +423,15 @@ def recorded_inputs(spec, cells):
     calls = []
     original = harness.estimate_trials
 
-    def record(rtt, depth, anchor_stack, ssp, noise, config):
+    def record(rtt, depth, anchor_stack, ssp, noise, config, window):
         calls.append((rtt, depth, anchor_stack, ssp, noise, config))
-        return original(rtt, depth, anchor_stack, ssp, noise, config)
+        return original(rtt, depth, anchor_stack, ssp, noise, config, window=window)
 
     harness.estimate_trials = record
     try:
+        # one cell per task, so each call holds exactly that cell's trials
         for scheme, value in cells:
-            harness._sweep_one(spec, scheme, spec.schemes[scheme], value)
+            harness._sweep_one(spec, [(scheme, spec.schemes[scheme], value)])
     finally:
         harness.estimate_trials = original
     return calls
@@ -564,6 +565,78 @@ class TestSharedLayout:
         rtt, depth = measure(plane, NOISE_1MS, 20, seed=6)
         q, iterations, converged, singular = self.check(rtt, depth, plane, NOISE_1MS)
         assert singular.all() and not converged.any() and not iterations.any()
+
+
+class TestWindow:
+    """Several cells through one estimate_trials call with a window.
+
+    Each cell's slice of the output is what the cell's own call returns,
+    bit for bit: the shape of the Monte-Carlo harness's grouped cells.
+    """
+
+    NAMES = ("q", "iterations", "converged", "singular")
+
+    @staticmethod
+    def cells(noise):
+        """(rtt, depth, anchors) of three 8-anchor cells: a shared usc layout,
+        a random layout per trial, and a shared layout in the AUV's
+        vertical plane, where every trial is singular."""
+        plane = [Position(x, 50.0, 0.0) for x in range(-100, 300, 50)]
+        rng = np.random.default_rng(8)
+        stack = random_layouts(default_box_for(TRUTH), 8, rng, 60)
+        q = np.tile(TRUTH.as_array(), (60, 1))
+        rtt, depth, _, _ = harness._measurements(q, stack, SSP, noise, rng.normal(size=(60, 9)))
+        layout = [np.array([p.as_array() for p in ps]) for ps in (USC8, plane)]
+        return [
+            (*measure(USC8, noise, 50, seed=1), layout[0]),
+            (rtt, depth, stack),
+            (*measure(plane, noise, 20, seed=2), layout[1]),
+        ]
+
+    @staticmethod
+    def merged(cells):
+        return (
+            np.concatenate([rtt for rtt, _, _ in cells]),
+            np.concatenate([depth for _, depth, _ in cells]),
+            np.concatenate([np.broadcast_to(p, (*rtt.shape, 3)) for rtt, _, p in cells]),
+        )
+
+    @pytest.mark.parametrize("window", [7, 60, None])
+    @pytest.mark.parametrize("max_iterations", [4, 100])
+    def test_concatenated_cells_match_their_own_calls(self, window, max_iterations):
+        noise = NoiseModel.distance_dependent()
+        config = EstimatorConfig(max_iterations=max_iterations)
+        cells = self.cells(noise)
+        alone = [estimate_trials(rtt, depth, p, SSP, noise, config) for rtt, depth, p in cells]
+        got = estimate_trials(*self.merged(cells), SSP, noise, config, window=window)
+        for name, g, parts in zip(self.NAMES, got, zip(*alone)):
+            np.testing.assert_array_equal(g, np.concatenate(parts), err_msg=name)
+        # the plane cell is singular throughout; the other two converge,
+        # and at a cap of 4 most of their trials stop there
+        _, iterations, converged, singular = got
+        assert singular[110:].all() and not singular[:110].any()
+        assert converged[:110].any()
+        assert (iterations[:110] == max_iterations).any() == (max_iterations == 4)
+
+    def test_active_set_never_exceeds_the_window(self, monkeypatch):
+        noise = NoiseModel.distance_dependent()
+        cells = self.cells(noise)
+        sizes = []
+        sigma2 = estimation._sigma2
+        # _sigma2 runs once per iteration on the active samples' points
+        monkeypatch.setattr(
+            estimation, "_sigma2", lambda q, p, nm: sizes.append(len(q)) or sigma2(q, p, nm)
+        )
+        _, iterations, _, singular = estimate_trials(*self.merged(cells), SSP, noise, window=16)
+        assert max(sizes) == 16 and sizes[-1] < 16
+        # every sample was admitted: each iterated or was found singular
+        assert ((iterations > 0) | singular).all()
+        assert sum(sizes) == iterations.sum() + singular.sum()
+
+    def test_window_must_be_positive(self):
+        rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)
+        with pytest.raises(ValueError, match="window"):
+            estimate_trials(rtt, depth, as_stack(USC8, 3), SSP, NOISE_1MS, window=0)
 
 
 class TestConditionScreen:

@@ -19,6 +19,7 @@ from auvgeom.errors import DegenerateGeometry, EmptyTable, SingularFim
 from auvgeom.estimation import estimate_trials
 from auvgeom.fisher import NoiseModel
 from auvgeom.geometry import Position, SoundSpeedProfile
+from auvgeom import harness
 from auvgeom.harness import (
     Axis,
     CSV_CONTRACT,
@@ -38,6 +39,9 @@ from auvgeom.harness import (
     Variant,
     _measurements,
     _row_line,
+    _sweep_cells,
+    _sweep_one,
+    _task_groups,
     csv_text,
     emit_plot,
     export_csv,
@@ -279,6 +283,72 @@ class TestSweep:
         assert row.note.startswith("SingularFim")
         assert row.n_anchors == 5
         assert _row_line(row).startswith("sigma_ms,1.0,fixed,5,nan,")
+
+
+class TestTaskGroups:
+    """Cells that share an anchor count, profile and noise model run through
+    one estimator call when any of them draws a layout per trial.  The rows
+    are still each cell's own."""
+
+    @staticmethod
+    def csv_alone(spec):
+        # every cell as its own task, in row order
+        return csv_text(
+            ResultTable(rows=tuple(r for cell in _sweep_cells(spec) for r in _sweep_one(spec, [cell])))
+        )
+
+    @staticmethod
+    def estimator_calls(monkeypatch):
+        calls = []
+        original = harness.estimate_trials
+
+        def count(rtt, *args, **kwargs):
+            calls.append((len(rtt), kwargs["window"]))
+            return original(rtt, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_trials", count)
+        return calls
+
+    def test_preset_groups(self):
+        def groups(spec):
+            return _task_groups(spec, _sweep_cells(spec))
+
+        # fig4a: usc, cube and random at each anchor count
+        assert groups(fig4a_spec(trials=10)) == [[i, i + 5, i + 10] for i in range(5)]
+        # fig5: frozen layouts only, so one task per cell in row order
+        assert groups(fig5_spec(trials=10)) == [[i] for i in range(15)]
+        # fig6: rs-usc rebuilds its circle every trial; every cell shares n = 8
+        assert groups(fig6_spec(trials=10)) == [list(range(12))]
+        assert groups(fig3_spec()) == [[i] for i in range(105)]
+
+    def test_early_failure_keeps_the_other_rows(self, monkeypatch):
+        # cube n=9 fails before drawing a trial; usc and random at n=9 still
+        # share one call, as the three n=8 cells do
+        spec = replace(fig4a_spec(trials=20), values=(8.0, 9.0))
+        calls = self.estimator_calls(monkeypatch)
+        table = sweep(spec)
+        assert calls == [(60, 20), (40, 20)]
+        assert csv_text(table) == self.csv_alone(spec)
+        failed = [r for r in table.rows if r.note]
+        assert [(r.scheme, r.axis_value) for r in failed] == [("cube", 9.0)]
+        assert failed[0].note == "UnsupportedCount: a cube has 8 vertices, got n=9"
+        assert all(math.isfinite(r.rmse_m) for r in table.rows if not r.note)
+
+    def test_cell_without_converged_trials_keeps_the_other_rows(self, monkeypatch):
+        # anchors drawn from a 1 m box, 70 m from the AUV: every trial's
+        # first step runs away, while the usc trials in the same call converge
+        tiny = Random(box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), seed=None)
+        schemes = {"usc": Variant(deployment=Usc(n=8)), "tiny": Variant(deployment=tiny)}
+        spec = replace(fig4a_spec(trials=20), values=(6.0, 8.0), schemes=schemes)
+        calls = self.estimator_calls(monkeypatch)
+        table = sweep(spec, workers=2)
+        assert calls == [(40, 20), (40, 20)]
+        assert csv_text(table) == self.csv_alone(spec)
+        for r in table.rows:
+            if r.scheme == "tiny":
+                assert r.note == "NoConvergedTrials: all 20 trials failed to converge"
+            else:
+                assert not r.note and math.isfinite(r.rmse_m)
 
 
 ROWS = (
