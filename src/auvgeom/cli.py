@@ -16,7 +16,6 @@ singular or degenerate geometry, 4 optimizer non-convergence.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import inspect
 import json
@@ -127,7 +126,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    # two dict levels: _merge rebinds leaves and nothing edits a leaf list in place
+    cfg = {key: dict(v) if isinstance(v, dict) else v for key, v in DEFAULT_CONFIG.items()}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as f:

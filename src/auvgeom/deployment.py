@@ -10,10 +10,10 @@ trace of the CRLB collapses to a univariate function of the scale k:
 
 with both terms exactly proportional to 1/N.  ``optimize_k`` minimizes
 this by plain gradient descent with a finite-difference gradient and
-backtracking on the step, one scalar ``k_objective`` call per trial
-point; ``grid_search_k`` is its independent oracle.  The grid is
-evaluated in one numpy pass: slant range for every k, then the
-variances, then the same closed form the scalar objective uses.  Its
+backtracking on the step, on an objective built once per search with
+its k-free terms worked out; ``grid_search_k`` is its independent oracle.
+The grid is evaluated in one numpy pass: slant range for every k, then
+the variances, then the same closed form the scalar objective uses.  Its
 values match the scalar objective's to a few ulp (numpy squares where
 Python calls pow), and the grid refuses to return an argmin when any
 value is not finite and positive.
@@ -112,6 +112,45 @@ def _usc_circles(centers: np.ndarray, n: int, k: float) -> np.ndarray:
     return out
 
 
+def _k_objective_fn(z: float, n: int, ssp: SoundSpeedProfile, noise: NoiseModel | float):
+    """The radius-scale objective of one USC scene, as (f, trace).
+
+    noise is a NoiseModel or a fixed timing variance in s^2.  f(k) is the
+    checked objective; trace(k, sigma2) the unchecked closed form, for
+    floats or arrays.  The k-free terms are worked out here once, by the
+    same operations, so no bit moves.  An error among them is raised by
+    trace, so f raises it after its own checks, as a per-k evaluation did.
+    """
+    if isinstance(noise, NoiseModel):
+        fixed = noise.sigma ** 2 if noise.kind == KIND_CONSTANT else None
+    else:
+        fixed = noise
+    if fixed is not None and not z > 0:  # a varying variance checks z at each k
+        raise ValueError("k, z, sigma2 must be positive")
+    failure = TooFewAnchors(f"USC needs at least 4 anchors, got {n}") if n < 4 else None
+    a = ssp.steepness_a
+    big_z = 2.0 * ssp.surface_speed_b / a + z
+    try:
+        a2, z2, big_z2, zz2 = a ** 2, z ** 2, big_z ** 2, (big_z + z) ** 2
+    except OverflowError as e:
+        failure = failure or e
+
+    def trace(k, sigma2):
+        if failure is not None:
+            raise failure
+        k2 = k ** 2
+        common = a2 * sigma2 * (1.0 + k2) * (k2 * z2 + big_z2) / n
+        return common / k2 + common * zz2 / (4.0 * (big_z - k2 * z) ** 2)
+
+    def f(k: float) -> float:
+        sigma2 = fixed if fixed is not None else noise_variance(noise, z * math.sqrt(1.0 + k * k))
+        if not (k > 0 and sigma2 > 0):
+            raise ValueError("k, z, sigma2 must be positive")
+        return trace(k, sigma2)
+
+    return f, trace
+
+
 def usc_trace_crlb_closed_form(
     k: float, z: float, n: int, ssp: SoundSpeedProfile, sigma2: float
 ) -> float:
@@ -121,35 +160,14 @@ def usc_trace_crlb_closed_form(
     Fisher-matrix route in the test suite.  Both terms scale as 1/N, so
     the optimal k does not depend on the anchor count.
     """
-    if not (k > 0 and z > 0 and sigma2 > 0):
-        raise ValueError("k, z, sigma2 must be positive")
-    if n < 4:
-        raise TooFewAnchors(f"USC needs at least 4 anchors, got {n}")
-    return _usc_trace(k, z, n, ssp, sigma2)
-
-
-def _usc_trace(k, z: float, n: int, ssp: SoundSpeedProfile, sigma2):
-    # the closed form without checks; k and sigma2 are floats or arrays
-    a = ssp.steepness_a
-    big_z = 2.0 * ssp.surface_speed_b / a + z
-    common = a ** 2 * sigma2 * (1.0 + k ** 2) * (k ** 2 * z ** 2 + big_z ** 2) / n
-    term_xy = common / k ** 2
-    term_z = common * (big_z + z) ** 2 / (4.0 * (big_z - k ** 2 * z) ** 2)
-    return term_xy + term_z
-
-
-def _usc_sigma2(k: float, z: float, noise: NoiseModel) -> float:
-    """Per-anchor variance of a USC layout at scale k, at slant range z*sqrt(1+k^2)."""
-    if noise.kind == KIND_CONSTANT:
-        return noise.sigma ** 2
-    return noise_variance(noise, z * math.sqrt(1.0 + k * k))
+    return _k_objective_fn(z, n, ssp, sigma2)[0](k)
 
 
 def k_objective(
     k: float, z: float, n: int, ssp: SoundSpeedProfile, noise: NoiseModel
 ) -> float:
     """tr(CRLB)(k) with the noise variance re-evaluated at each k."""
-    return usc_trace_crlb_closed_form(k, z, n, ssp, _usc_sigma2(k, z, noise))
+    return _k_objective_fn(z, n, ssp, noise)[0](k)
 
 
 def _k_objective_grid(
@@ -157,12 +175,12 @@ def _k_objective_grid(
 ) -> np.ndarray:
     """k_objective at every scale in k, in one numpy pass and unchecked.
 
-    Mirrors _usc_sigma2 and the closed form step by step; overflow gives
-    inf or NaN, not a warning.
+    The variance at each slant range, then the scene's closed form;
+    overflow gives inf or NaN, not a warning.
     """
     with np.errstate(all="ignore"):
         r = z * np.sqrt(1.0 + k * k)
-        return _usc_trace(k, z, n, ssp, _variance_at(noise, r))
+        return _k_objective_fn(z, n, ssp, noise)[1](k, _variance_at(noise, r))
 
 
 def _objective_error(k: float, value: float) -> ValueError:
@@ -191,24 +209,21 @@ def optimize_k(
     positive.
     """
     cfg = config or OptimizerConfig()
+    f, _ = _k_objective_fn(z, n, ssp, noise)
     k = cfg.initial_k
-    f0 = k_objective(k, z, n, ssp, noise)
+    f0 = f(k)
     if not (math.isfinite(f0) and f0 > 0):
         raise _objective_error(k, f0)
     f_k = 1.0
-
-    def g(kk: float) -> float:
-        return k_objective(kk, z, n, ssp, noise) / f0
-
     for iterations in range(1, cfg.max_iterations_Nmax + 1):
         h = cfg.fd_step_h * k
-        grad = (g(k + h) - g(k - h)) / (2.0 * h)
+        grad = (f(k + h) / f0 - f(k - h) / f0) / (2.0 * h)
         if abs(grad) <= cfg.precision_eps:
             break
         step = cfg.step_size_t
         for _ in range(60):
             k_new = k - step * grad
-            if k_new > 0 and (f_new := g(k_new)) <= f_k:
+            if k_new > 0 and (f_new := f(k_new) / f0) <= f_k:
                 break
             step *= 0.5
         else:

@@ -424,7 +424,9 @@ def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> R
 
 def _mc_row(row: Row, result: _CellResult) -> Row:
     if isinstance(result, AuvgeomError):
-        return replace(row, note=f"{type(result).__name__}: {result}")
+        # every trial of a cell that converged on none diverged; other errors ran none
+        diverged = row.trials if isinstance(result, NoConvergedTrials) else 0
+        return replace(row, diverged=diverged, note=f"{type(result).__name__}: {result}")
     rmse_val, trace, diverged, k_used, n = result
     return replace(
         row, n_anchors=n, k=k_used, rmse_m=rmse_val, trace_crlb_m2=trace, diverged=diverged

@@ -13,14 +13,20 @@ the shared variance function ``fisher._sigma2`` or ``fim``:
 
 The radius-scale grid is evaluated point by point through the scalar
 ``k_objective``, against the one-pass ``deployment.grid_search_k``.
+``reference_k_objective``, ``reference_optimize_k`` and
+``reference_grid_formula`` are the radius objective, its search and its
+grid as they were written before the scene's k-free terms were hoisted
+into ``deployment._k_objective_fn``: every evaluation re-derives the
+scene and runs every check.
 """
 
 import math
 
 import numpy as np
 
-from auvgeom.deployment import k_objective
-from auvgeom.fisher import noise_variance
+from auvgeom.deployment import KSearchResult, k_objective
+from auvgeom.errors import NonPositiveK, TooFewAnchors
+from auvgeom.fisher import KIND_CONSTANT, _variance_at, noise_variance
 from auvgeom.geometry import COINCIDENT_TOL
 
 
@@ -221,3 +227,63 @@ def reference_grid_search_k(z, n, ssp, noise, k_min=0.1, k_max=3.0, steps=2000):
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise ValueError("objective not finite and positive on the grid")
     return float(grid[int(np.argmin(values))])
+
+
+def _reference_trace(k, z, n, ssp, sigma2):
+    a = ssp.steepness_a
+    big_z = 2.0 * ssp.surface_speed_b / a + z
+    common = a ** 2 * sigma2 * (1.0 + k ** 2) * (k ** 2 * z ** 2 + big_z ** 2) / n
+    term_xy = common / k ** 2
+    term_z = common * (big_z + z) ** 2 / (4.0 * (big_z - k ** 2 * z) ** 2)
+    return term_xy + term_z
+
+
+def reference_k_objective(k, z, n, ssp, noise):
+    """The checked scalar objective, re-deriving the whole scene at k."""
+    if noise.kind == KIND_CONSTANT:
+        sigma2 = noise.sigma ** 2
+    else:
+        sigma2 = noise_variance(noise, z * math.sqrt(1.0 + k * k))
+    if not (k > 0 and z > 0 and sigma2 > 0):
+        raise ValueError("k, z, sigma2 must be positive")
+    if n < 4:
+        raise TooFewAnchors(f"USC needs at least 4 anchors, got {n}")
+    return _reference_trace(k, z, n, ssp, sigma2)
+
+
+def reference_grid_formula(k, z, n, ssp, noise):
+    """The objective at every scale of the array k, in one unchecked pass."""
+    with np.errstate(all="ignore"):
+        r = z * np.sqrt(1.0 + k * k)
+        return _reference_trace(k, z, n, ssp, _variance_at(noise, r))
+
+
+@np.errstate(over="ignore")
+def reference_optimize_k(z, n, ssp, noise, cfg):
+    """deployment.optimize_k with one reference_k_objective call per evaluation."""
+    k = cfg.initial_k
+    f0 = reference_k_objective(k, z, n, ssp, noise)
+    if not (math.isfinite(f0) and f0 > 0):
+        raise ValueError(f"objective tr(CRLB)(k) is {f0!r} at k={k!r}, not finite and positive")
+    f_k = 1.0
+
+    def g(kk):
+        return reference_k_objective(kk, z, n, ssp, noise) / f0
+
+    for iterations in range(1, cfg.max_iterations_Nmax + 1):
+        h = cfg.fd_step_h * k
+        grad = (g(k + h) - g(k - h)) / (2.0 * h)
+        if abs(grad) <= cfg.precision_eps:
+            break
+        step = cfg.step_size_t
+        for _ in range(60):
+            k_new = k - step * grad
+            if k_new > 0 and (f_new := g(k_new)) <= f_k:
+                break
+            step *= 0.5
+        else:
+            if k - step * grad <= 0:
+                raise NonPositiveK("cannot keep the iterate positive")
+            break
+        k, f_k = k_new, f_new
+    return KSearchResult(k, iterations, abs(grad) <= cfg.precision_eps, f_k * f0)

@@ -1,6 +1,7 @@
 """Command-line behavior: config resolution, outputs, and exit codes."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -182,6 +183,20 @@ class TestConfigResolution:
         table = load_csv(str(tmp_path / "simulate.csv"))
         assert table.rows[0].seed == 9
         assert table.rows[0].trials == 30
+
+    def test_resolution_leaves_the_defaults_alone(self, capsys, tmp_path):
+        # a value from a config file and a --set into every section
+        before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"auv": [10.0, 20.0, 40.0], "deployment": {"scale_k": 0.9}}))
+        sets = [
+            "auv=[5,5,60]", "ssp.steepness_a=0.2", "noise.ke_db=-12", "deployment.n=6",
+            "movement.seed=3", "optimizer.initial_k=1.5", "sweep.values=[1,2]", "trials=7",
+            "master_seed=4", "workers=1",
+        ]
+        argv = ["--config", str(cfg)] + [a for s in sets for a in ("--set", s)] + ["crlb"]
+        assert run(capsys, *argv)[0] == 0
+        assert cli.DEFAULT_CONFIG == before
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

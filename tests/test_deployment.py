@@ -1,6 +1,8 @@
 """Tests for anchor layout generation and the radius-scale search."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +34,13 @@ from auvgeom.fisher import NoiseModel, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import Cube, Random, Scenario, Usc, _fixed_layout
 
-from oracles import reference_grid_search_k, reference_grid_values
+from oracles import (
+    reference_grid_formula,
+    reference_grid_search_k,
+    reference_grid_values,
+    reference_k_objective,
+    reference_optimize_k,
+)
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
 
@@ -202,26 +210,41 @@ class TestOptimizeK:
         assert not res.converged
         assert res.iterations == 2
 
+    @staticmethod
+    def inject(monkeypatch, objective):
+        # the search evaluates the objective its scene builder returns;
+        # returns the scales the search evaluated it at
+        calls = []
+
+        def build(z, n, ssp, noise):
+            def f(k):
+                calls.append(k)
+                return objective(k)
+
+            return f, None
+
+        monkeypatch.setattr(deployment, "_k_objective_fn", build)
+        return calls
+
     def test_non_positive_guard(self, monkeypatch):
         # a pathological objective whose gradient outruns every backtracking
         # halving; the real closed form cannot reach this branch
-        monkeypatch.setattr(
-            deployment, "k_objective", lambda k, *rest: 1.0 + 1e25 * (k - 1.0)
-        )
+        calls = self.inject(monkeypatch, lambda k: 1.0 + 1e25 * (k - 1.0))
         with pytest.raises(NonPositiveK):
             optimize_k(50.0, 4, SSP, DD_NOISE)
+        # the start and both finite-difference points; no halving stays positive
+        assert len(calls) == 3 and calls[0] == 1.0
 
     def test_no_descent_at_float_resolution_stops(self, monkeypatch):
         # a kink at k = 1 steeper than the slope: every halved step that
         # keeps k positive raises the objective, down to float resolution
-        monkeypatch.setattr(
-            deployment, "k_objective",
-            lambda k, *rest: 1.0 + 1e6 * abs(k - 1.0) + 1e4 * (k - 1.0),
-        )
+        calls = self.inject(monkeypatch, lambda k: 1.0 + 1e6 * abs(k - 1.0) + 1e4 * (k - 1.0))
         res = optimize_k(50.0, 4, SSP, DD_NOISE)
         assert res.k_star == 1.0
         assert res.iterations == 1
         assert res.converged is False
+        # the start, both finite-difference points, then every halved candidate
+        assert len(calls) > 3 and calls[0] == 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -239,6 +262,86 @@ class TestOptimizeK:
         # 10^(ke_db/10) overflows, so the objective is inf at initial_k
         with pytest.raises(ValueError, match=r"objective .* is inf at k=1\.0"):
             optimize_k(50.0, 8, SSP, NoiseModel.distance_dependent(ke_db=1e308))
+
+    @staticmethod
+    def oracle_configs(count, seed=18):
+        # seeded scenes and search settings; one in ten takes a steepness
+        # extreme of TestGridSearchK, and the noise draws include variances
+        # that overflow or underflow everywhere or only part of the way
+        rng = np.random.default_rng(seed)
+        extremes = (5e-324, 1e30, 4e257)
+        for i in range(count):
+            z = float(10.0 ** rng.uniform(0.0, math.log10(3000.0)))
+            n = int(rng.integers(4, 13))
+            a = extremes[i // 10 % 3] if i % 10 == 9 else float(10.0 ** rng.uniform(-4.0, 0.0))
+            ssp = SoundSpeedProfile(float(rng.uniform(1400.0, 1600.0)), a)
+            if i % 2:
+                sigma = rng.choice([1e305, 1e-200, float(10.0 ** rng.uniform(-5.0, -1.0))], p=[0.05, 0.05, 0.9])
+                noise = NoiseModel.constant_variance(float(sigma))
+            else:
+                ke_db = rng.choice(
+                    [-2.2e163, 1e308, rng.uniform(-3260.0, -3200.0),
+                     rng.uniform(3060.0, 3140.0), rng.uniform(-40.0, 10.0)],
+                    p=[0.05, 0.05, 0.1, 0.1, 0.7],
+                )
+                noise = NoiseModel.distance_dependent(
+                    float(ke_db), float(rng.uniform(1.0, 2.0)),
+                    float(10.0 ** rng.uniform(1.0, 4.0)), float(rng.uniform(0.0, 5.0)),
+                )
+            fd = float(rng.uniform(1.0, 3.0)) if rng.random() < 0.1 else float(10.0 ** rng.uniform(-9, -2))
+            cfg = OptimizerConfig(
+                initial_k=float(10.0 ** rng.uniform(-2.0, 1.5)),
+                step_size_t=float(rng.uniform(0.01, 0.99)),
+                precision_eps=float(10.0 ** rng.uniform(-10.0, -2.0)),
+                max_iterations_Nmax=int(rng.integers(1, 250)),
+                fd_step_h=fd,
+            )
+            yield z, n, ssp, noise, cfg
+
+    def test_matches_the_per_evaluation_loop(self):
+        # the objective is built once per search; the reference re-derives
+        # the scene and runs every check at each evaluation: same result
+        # bits, or the same exception and message, on every config
+        def outcome(search, *args):
+            try:
+                return search(*args)
+            except Exception as e:
+                return type(e), str(e)
+
+        kinds = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning leaks out of a search
+            for z, n, ssp, noise, cfg in self.oracle_configs(3000):
+                want = outcome(reference_optimize_k, z, n, ssp, noise, cfg)
+                got = outcome(optimize_k, z, n, ssp, noise, cfg)
+                assert repr(got) == repr(want), (z, n, ssp, noise, cfg)
+                kinds.add(want[:2] if isinstance(want, tuple) else want.converged)
+        # every exit of the search, and every error an evaluation raises
+        assert {True, False, (OverflowError, "(34, 'Numerical result out of range')"),
+                (ValueError, "k, z, sigma2 must be positive")} <= kinds, kinds
+        assert any(k[0] is ValueError and k[1].startswith("objective") for k in kinds if k not in (True, False))
+
+    def test_objective_errors_match_the_reference(self):
+        # a direct call on inputs with several faults at once raises the
+        # error the reference meets first
+        scenes = itertools.product(
+            (1.0, 0.0, -1.0, math.nan),
+            (50.0, 0.0, -5.0),
+            (8, 3),
+            (SSP, SoundSpeedProfile(1480.0, 4e257), SoundSpeedProfile(1480.0, 5e-324)),
+            (DD_NOISE, NoiseModel.distance_dependent(ke_db=-2.2e163),
+             NoiseModel.constant_variance(1e-3), NoiseModel.constant_variance(1e-200),
+             NoiseModel.constant_variance(1e305)),
+        )
+        with np.errstate(all="ignore"):
+            for scene in scenes:
+                outcomes = []
+                for objective in (reference_k_objective, k_objective):
+                    try:
+                        outcomes.append(repr(objective(*scene)))
+                    except Exception as e:
+                        outcomes.append((type(e), str(e)))
+                assert outcomes[0] == outcomes[1], scene
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -270,6 +373,15 @@ class TestGridSearchK:
             # numpy squares where Python calls pow: a few ulp apart
             assert ulps.max() <= 4, (z, n, noise, ulps.max())
             assert grid_search_k(z, n, SSP, noise) == grid[np.argmin(want)], (z, n, noise)
+
+    def test_hoisting_moves_no_bit(self):
+        # the closed form with its k-free terms worked out once per scene
+        # against the same formula written out at every k
+        for z, n, noise in self.scenes(300):
+            grid = np.linspace(0.1, 3.0, 2001)
+            want = reference_grid_formula(grid, z, n, SSP, noise)
+            got = deployment._k_objective_grid(grid, z, n, SSP, noise)
+            assert got.tobytes() == want.tobytes(), (z, n, noise)
 
     @pytest.mark.parametrize(
         "ssp, noise",

@@ -332,9 +332,10 @@ class TestTaskGroups:
         failed = [r for r in table.rows if r.note]
         assert [(r.scheme, r.axis_value) for r in failed] == [("cube", 9.0)]
         assert failed[0].note == "UnsupportedCount: a cube has 8 vertices, got n=9"
+        assert failed[0].diverged == 0  # no trial ran
         assert all(math.isfinite(r.rmse_m) for r in table.rows if not r.note)
 
-    def test_cell_without_converged_trials_keeps_the_other_rows(self, monkeypatch):
+    def test_cell_without_converged_trials_keeps_the_other_rows(self, monkeypatch, tmp_path):
         # anchors drawn from a 1 m box, 70 m from the AUV: every trial's
         # first step runs away, while the usc trials in the same call converge
         tiny = Random(box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), seed=None)
@@ -343,12 +344,20 @@ class TestTaskGroups:
         calls = self.estimator_calls(monkeypatch)
         table = sweep(spec, workers=2)
         assert calls == [(40, 20), (40, 20)]
-        assert csv_text(table) == self.csv_alone(spec)
+        text = csv_text(table)
+        assert text == self.csv_alone(spec)
         for r in table.rows:
             if r.scheme == "tiny":
                 assert r.note == "NoConvergedTrials: all 20 trials failed to converge"
+                # every trial ran and none converged
+                assert r.diverged == r.trials == 20
+                assert f"# WARNING: tiny@{r.axis_value} diverged on 20/20 trials\n" in text
             else:
                 assert not r.note and math.isfinite(r.rmse_m)
+        path = str(tmp_path / "t.csv")
+        export_csv(table, path)
+        # the rows hold NaN, so compare them through their text
+        assert csv_text(load_csv(path)) == text
 
 
 ROWS = (
