@@ -43,7 +43,24 @@ in input order until w are active again.  A sample's trajectory depends
 only on its own inputs, so the window moves no output bit; it lets a
 caller put several Monte-Carlo cells through one call, whose long tails
 of a few slow samples then share one loop, while the per-iteration
-arrays stay one cell in size.
+arrays stay one cell in size.  The kernel first sees a sample when it
+is admitted, so no array outgrows the window.
+
+The cells of one call may differ in anchor count: each is a block of
+samples.  The active samples sit in window arrays padded to the widest
+count among them, ordered by count and then by input order, so each
+count is one contiguous run.  A padded slot repeats the sample's last
+anchor, so the kernel and the noise model see only pairs they already
+see.  Padding moves no output bit.  Padded rows enter the normal sums
+as exact zeros, set rather than multiplied because a pair may be NaN,
+and x + 0.0 == x.  The two sums along the anchors are another matter:
+numpy adds fewer than 8 terms in order and 8 or more pairwise, so a
+padded term would move their rounding.  Those two, the whitened cost
+(N timing terms, then the depth term) and the line search's
+frozen-weight cost (N terms), run once per count over exactly the
+sample's own columns.  The start point and the runaway span come from
+the sample's own anchors, and the kernel and ``_sigma2`` work pair by
+pair.
 
 The normal equations are solved in closed form: one cofactor pass over
 the six sums of J^T W J gives the singular screen its determinant and
@@ -58,10 +75,10 @@ row in order, starting from zero, and the depth pseudo-row (0, 0, sw)
 adds its terms last (sw^2 to the zz entry, sw times the depth residual
 to the z entry, the squared depth residual to the cost).  That is the
 order of one summation over all N + 1 rows, so the result is the same
-to the bit without ever building the augmented matrix.  A layout that
-every sample shares stays one (N, 3) array throughout: the kernel and
-the noise model broadcast it against the samples' points instead of
-copying it per sample.
+to the bit without ever building the augmented matrix.  A lone block
+whose layout every sample shares stays one (N, 3) array throughout,
+with no padding: the kernel and the noise model broadcast it against
+the samples' points instead of copying it per sample.
 """
 
 from __future__ import annotations
@@ -164,6 +181,27 @@ def _normal_steps(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return delta, bad
 
 
+def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(lo, hi, n) of each run of equal anchor counts n in sorted counts."""
+    if counts[0] == counts[-1]:
+        return [(0, len(counts), int(counts[0]))]
+    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _own_sums(x: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """Sums of x (batch, ..., width) over its last axis, each run of
+    samples over its first n columns only.
+
+    numpy adds fewer than 8 terms in order and 8 or more pairwise, so a
+    padded column, even an exact zero, could move a sum's rounding.
+    """
+    out = np.empty(x.shape[:-1])
+    for lo, hi, n in runs:
+        np.sum(x[lo:hi, ..., :n], axis=-1, out=out[lo:hi])
+    return out
+
+
 def _normal_sums(
     rows: np.ndarray,
     t: np.ndarray,
@@ -172,42 +210,50 @@ def _normal_sums(
     q: np.ndarray,
     sigma2: np.ndarray,
     sw: float,
+    runs: list[tuple[int, int, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nine normal sums (9, batch) and the whitened cost (batch,) at q.
 
-    rows (batch, N, 3) and t (batch, N) are the kernel's Jacobian rows and
-    travel times at q, sigma2 (batch, N) the timing variances there and
-    sw the depth row's weight.  The sums are ``_normal_steps``' input.
-    Its per-row products, the largest arrays of an iteration, are freed
-    on return, before the line search allocates its candidates.
+    rows (batch, width, 3) and t (batch, width) are the kernel's Jacobian
+    rows and travel times at q, sigma2 (batch, width) the timing variances
+    there and sw the depth row's weight.  Each run (lo, hi, n) of samples
+    has n anchors: its columns past n are padding and add nothing.  The
+    sums are ``_normal_steps``' input.  Its per-row products, the largest
+    arrays of an iteration, are freed on return, before the line search
+    allocates its candidates.
     """
-    batch, n = t.shape
+    batch, width = t.shape
     sigma = np.sqrt(sigma2)
-    # whitened timing rows with the sample index last, (N, 3, batch),
-    # and the N timing residuals followed by the depth residual
-    design = np.empty((n, 3, batch))
-    resid = np.empty((batch, n + 1))
+    # whitened timing rows with the sample index last, (width, 3, batch),
+    # and the timing residuals; a run's depth residual follows its own n
+    design = np.empty((width, 3, batch))
+    resid = np.empty((batch, width + 1))
     # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
     # then those of J^T W r
-    prod = np.empty((n, 9, batch))
+    prod = np.empty((width, 9, batch))
     # an overflowed variance gives NaN residuals, screened out as singular
     with np.errstate(invalid="ignore", over="ignore"):
         np.divide(rows.transpose(1, 2, 0), sigma.T[:, None], out=design)
-        np.divide(rtt - t, sigma, out=resid[:, :n])
-        resid[:, n] = sw * (depth - q[:, 2])
-        cur_sse = np.sum(resid**2, axis=1)
+        np.divide(rtt - t, sigma, out=resid[:, :width])
         np.multiply(design, design, out=prod[:, :3])
         np.multiply(design[:, :2], design[:, 1:], out=prod[:, 3:5])
         np.multiply(design[:, 0], design[:, 2], out=prod[:, 5])
-        np.multiply(design, resid[:, :n].T[:, None], out=prod[:, 6:])
+        np.multiply(design, resid[:, :width].T[:, None], out=prod[:, 6:])
+        depth_resid = sw * (depth - q[:, 2])
+        for lo, hi, n in runs:
+            # padded rows are set, not scaled, to zero: a pair may be NaN
+            prod[n:, :, lo:hi] = 0.0
+            resid[lo:hi, n] = depth_resid[lo:hi]
+        cur_sse = _own_sums(resid**2, [(lo, hi, n + 1) for lo, hi, n in runs])
         # summed from zero over the timing rows in order, then the depth
         # pseudo-row (0, 0, sw): the order of one sum over all N + 1
-        # rows, so the depth row is never built
+        # rows, so the depth row is never built; a zero row adds +0.0,
+        # which moves no bit
         acc = np.zeros((9, batch))
         for row in prod:
             acc += row
         acc[2] += sw * sw
-        acc[8] += sw * resid[:, n]
+        acc[8] += sw * depth_resid
     return acc, cur_sse
 
 
@@ -218,22 +264,72 @@ def _weighted_sse(
     depth: np.ndarray,
     sigma2: np.ndarray,
     w_depth: float,
+    runs: list[tuple[int, int, int]],
 ) -> np.ndarray:
-    """Frozen-weight cost of candidates q (..., 3) with travel times t (..., N)."""
+    """Frozen-weight cost of candidates q (batch, ..., 3) with travel times
+    t (batch, ..., width), each run (lo, hi, n) of samples over its n anchors."""
     # sigma2 is frozen at the iterate that produced the step, so the line
     # search descends a fixed objective; re-deriving weights from the
     # candidate would let a good step raise the cost and stall the solver.
     r = rtt - t
     r *= r
     r /= sigma2
-    sse = np.sum(r, axis=-1)
-    return sse + w_depth * (depth - q[..., 2]) ** 2
+    return _own_sums(r, runs) + w_depth * (depth - q[..., 2]) ** 2
+
+
+# one block of samples: travel times (T, N), depth readings (T,) and the
+# anchors, (N, 3) shared by the block or (T, N, 3) per sample
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _blocks(rtt, depth, anchors) -> list[_Block]:
+    """One block's three arrays, or three equal-length lists of them, as blocks."""
+    if not isinstance(rtt, (list, tuple)):
+        rtt, depth, anchors = [rtt], [depth], [anchors]
+    blocks = [
+        tuple(np.asarray(x, dtype=float) for x in part)
+        for part in zip(rtt, depth, anchors, strict=True)
+    ]
+    if not blocks:
+        raise ValueError("need at least one block of samples")
+    return blocks
+
+
+def _pad(x: np.ndarray, width: int) -> np.ndarray:
+    """x (k, n, ...) widened to width columns by repeating its last one."""
+    n = x.shape[1]
+    return x if n == width else x[:, np.minimum(np.arange(width), n - 1)]
+
+
+def _admit(
+    blocks: list[_Block], starts: np.ndarray, lo: int, hi: int, width: int, anchors: bool
+) -> dict[str, np.ndarray]:
+    """Window arrays of samples lo..hi-1: their indices, anchor counts and
+    travel times, then their anchors when ``anchors`` is true.
+
+    Each sample's travel times and anchors are padded to width columns
+    with copies of its last anchor's, so every padded pair is one that
+    the kernel and the noise model already see.
+    """
+    parts = []
+    for (r, _, p), s in zip(blocks, starts):
+        a, b = max(lo - s, 0), min(hi - s, len(r))
+        if a < b:
+            parts.append((r[a:b], np.broadcast_to(p, (len(r), *p.shape[-2:]))[a:b]))
+    new = {
+        "ids": np.arange(lo, hi),
+        "counts": np.concatenate([np.full(len(r), r.shape[1]) for r, _ in parts]),
+        "rtt": np.concatenate([_pad(r, width) for r, _ in parts]),
+    }
+    if anchors:
+        new["p"] = np.concatenate([_pad(p, width) for _, p in parts])
+    return new
 
 
 def _estimate_batch(
-    rtt: np.ndarray,
-    depth: np.ndarray,
-    p_b: np.ndarray,
+    rtt,
+    depth,
+    anchors,
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig,
@@ -243,54 +339,93 @@ def _estimate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every sample's Gauss-Newton iteration in lockstep from q0.
 
-    ``p_b`` is the (batch, N, 3) anchor stack, or the (N, 3) layout every
-    sample shares, and ``q0`` the (batch, 3) starting points.  Returns
-    (q, iterations, converged, singular).  A sample leaves the active set
-    at one of the two exits the module docstring names, or after
+    rtt, depth and anchors are one block of samples or lists of blocks,
+    as ``estimate_trials`` takes them, and ``q0`` the (batch, 3) starting
+    points of every block's samples in order.  Returns (q, iterations,
+    converged, singular).  A sample leaves the active set at one of the
+    two exits the module docstring names, or after
     ``config.max_iterations`` iterations of its own; finished samples are
     frozen while the rest continue.  At most ``window`` samples (None:
     all of them) are active at once, the rest admitted in input order as
     others leave.
 
-    The travel times and Jacobian rows at every sample's current point
-    are kept alongside it: the kernel runs once on the starting points,
-    and afterwards only on line-search candidates, whose output becomes
-    the next iterate's when the candidate is accepted.
+    The active samples' travel times, anchors, and the travel times and
+    Jacobian rows at their current points are kept in window arrays
+    ordered by anchor count.  The kernel runs on a sample's starting
+    point when it is admitted, and afterwards only on line-search
+    candidates, whose output becomes the next iterate's when the
+    candidate is accepted.
     """
-    batch, n = rtt.shape
-    shared = p_b.ndim == 2
-    span = np.linalg.norm(p_b.max(axis=-2) - p_b.min(axis=-2), axis=-1)
-    max_step = np.broadcast_to(DIVERGENCE_SPAN_FACTOR * span, (batch,))
+    blocks = _blocks(rtt, depth, anchors)
+    starts = np.cumsum([0] + [len(r) for r, _, _ in blocks])
+    batch = int(starts[-1])
+    widest = max(r.shape[1] for r, _, _ in blocks)
+    # a lone block's (N, 3) layout is never copied per sample
+    layout = blocks[0][2] if len(blocks) == 1 and blocks[0][2].ndim == 2 else None
+    depth = np.concatenate([d for _, d, _ in blocks])
+    max_step = np.concatenate([
+        np.broadcast_to(
+            DIVERGENCE_SPAN_FACTOR
+            * np.linalg.norm(p.max(axis=-2) - p.min(axis=-2), axis=-1),
+            len(r),
+        )
+        for r, _, p in blocks
+    ])
     w_depth = 1.0 / DEPTH_NOISE_VAR
     sw = math.sqrt(w_depth)
 
     q = np.array(q0, dtype=float)
-    t_q, rows_q = _time_and_rows(q, p_b, ssp)
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
-    active = np.zeros(batch, dtype=bool)
     gamma = np.ones(batch)
     prev_step = np.zeros((batch, 3))
     window = batch if window is None else window
     admitted = 0
+    # the active samples, by anchor count and then in input order: their
+    # indices and counts, then their travel times, the anchors, and the
+    # kernel's travel times and rows at their points, padded to widest
+    win = {
+        "ids": np.zeros(0, dtype=int),
+        "counts": np.zeros(0, dtype=int),
+        "rtt": np.empty((0, widest)),
+        "t": np.empty((0, widest)),
+        "rows": np.empty((0, widest, 3)),
+    }
+    if layout is None:
+        win["p"] = np.empty((0, widest, 3))
 
     while True:
-        # refill the active set up to the window, in input order
-        fill = min(window - np.count_nonzero(active), batch - admitted)
-        active[admitted : admitted + fill] = True
-        admitted += fill
-        idx = np.flatnonzero(active)
-        if not idx.size:
+        # refill the active set up to the window, in input order, and
+        # keep it ordered by anchor count, so that each count is one run
+        fill = min(window - len(win["ids"]), batch - admitted)
+        if fill:
+            new = _admit(blocks, starts, admitted, admitted + fill, widest, layout is None)
+            w = new["counts"].max()
+            t_new, rows_new = _time_and_rows(
+                q[admitted : admitted + fill], new["p"][:, :w] if layout is None else layout, ssp
+            )
+            new["t"], new["rows"] = _pad(t_new, widest), _pad(rows_new, widest)
+            win = {k: np.concatenate((v, new[k])) for k, v in win.items()}
+            admitted += fill
+            if (np.diff(win["counts"]) < 0).any():
+                order = np.argsort(win["counts"], kind="stable")
+                win = {k: v[order] for k, v in win.items()}
+        ids, counts = win["ids"], win["counts"]
+        if not ids.size:
             break
-        qa = q[idx]
-        sigma2 = _sigma2(qa, p_b if shared else p_b[idx], noise)
-        acc, cur_sse = _normal_sums(rows_q[idx], t_q[idx], rtt[idx], depth[idx], qa, sigma2, sw)
+        width = counts[-1]
+        qa = q[ids]
+        sigma2 = _sigma2(qa, win["p"][:, :width] if layout is None else layout, noise)
+        acc, cur_sse = _normal_sums(
+            win["rows"][:, :width], win["t"][:, :width], win["rtt"][:, :width], depth[ids], qa,
+            sigma2, sw, _runs(counts),
+        )
         delta, bad = _normal_steps(acc)
-        # positions in idx of the samples that take a step; a singular
+        # window positions of the samples that take a step; a singular
         # sample's step is garbage and goes no further
         pos = np.flatnonzero(~bad)
-        sub, delta = idx[pos], delta[pos]
+        sub, delta = ids[pos], delta[pos]
         iterations[sub] += 1
         # Newton decrement delta . J^T W r, the cost decrease the undamped
         # step predicts: below DECREMENT_TOL the sample takes that step
@@ -307,9 +442,8 @@ def _estimate_batch(
         step_norm = np.linalg.norm(delta, axis=1)
         # first exit: the singular, decrement-final and runaway samples
         leave = final | (step_norm > max_step[sub])
-        singular[idx[bad]] = True
+        singular[ids[bad]] = True
         converged[sub[final]] = True
-        active[np.concatenate((idx[bad], sub[leave]))] = False
         keep = ~leave
         pos, sub, delta, step_norm = pos[keep], sub[keep], delta[keep], step_norm[keep]
         frozen_s2 = sigma2[pos]
@@ -318,26 +452,31 @@ def _estimate_batch(
 
         # backtracking: take the first scale of _STEP_SCALES whose
         # frozen-weight cost does not worsen, one kernel call per group
-        # over the samples it still has to place; scale 0 marks a sample
-        # that every scale failed
+        # over the samples it still has to place, padded to the widest
+        # of them; scale 0 marks a sample that every scale failed
         base = q[sub]
-        p_s = p_b if shared else p_b[sub]
         scale = np.zeros(len(sub))
         rest = np.arange(len(sub))
         for scales in _STEP_SCALES:
             if not rest.size:
                 break
+            at = pos[rest]
+            n_at = counts[at]
+            w = n_at[-1]
             cand = base[rest, None] + scales[:, None] * delta[rest, None]
-            t_c, rows_c = _time_and_rows(cand, p_s if shared else p_s[rest, None], ssp)
+            p_c = win["p"][at, None, :w] if layout is None else layout
+            t_c, rows_c = _time_and_rows(cand, p_c, ssp)
             rs = sub[rest]
             ok = _weighted_sse(
-                t_c, cand, rtt[rs, None], depth[rs, None], frozen_s2[rest, None], w_depth
+                t_c, cand, win["rtt"][at, None, :w], depth[rs, None], frozen_s2[rest, None, :w],
+                w_depth, _runs(n_at),
             ) <= limit[rest, None]
             found = ok.any(axis=1)
             first = ok[found].argmax(axis=1)
             pick = (np.flatnonzero(found), first)
-            hit = rs[found]
-            q[hit], t_q[hit], rows_q[hit] = cand[pick], t_c[pick], rows_c[pick]
+            hit = at[found]
+            q[rs[found]] = cand[pick]
+            win["t"][hit, :w], win["rows"][hit, :w] = t_c[pick], rows_c[pick]
             scale[rest[found]] = scales[first]
             rest = rest[~found]
         prev_step[sub] = scale[:, None] * delta
@@ -349,15 +488,17 @@ def _estimate_batch(
         stalled = scale == 0
         stop = stalled | (scale * step_norm <= config.position_tolerance)
         converged[sub[stop]] = ~stalled[stop] | (step_norm[stop] <= config.position_tolerance)
-        active[sub[stop | (iterations[sub] >= config.max_iterations)]] = False
+        stay = pos[~stop & (iterations[sub] < config.max_iterations)]
+        if len(stay) < len(ids):
+            win = {k: v[stay] for k, v in win.items()}
 
     return q, iterations, converged, singular
 
 
 def estimate_trials(
-    rtt: np.ndarray,
-    depth: np.ndarray,
-    anchor_stack: np.ndarray,
+    rtt,
+    depth,
+    anchor_stack,
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig | None = None,
@@ -366,26 +507,31 @@ def estimate_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array-in, array-out batch solve for Monte-Carlo harnesses.
 
-    rtt is (trials, N), depth (trials,), anchor_stack (N, 3) shared or
-    (trials, N, 3) per trial.  Returns (q_hat, iterations, converged,
-    singular); singular trials are non-converged rather than raised.
-    window, when given, caps how many trials iterate at once; it bounds
-    the working memory of a long batch and moves no output bit.
+    One block of trials is rtt (trials, N), depth (trials,) and
+    anchor_stack (N, 3) shared or (trials, N, 3) per trial.  Several
+    blocks, each with its own N, go through one call as three
+    equal-length lists.  Returns (q_hat, iterations, converged, singular)
+    over every block's trials in order; singular trials are non-converged
+    rather than raised.  window, when given, caps how many trials iterate
+    at once; it bounds the working memory of a long batch and moves no
+    output bit.
     """
-    rtt = np.asarray(rtt, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    p_b = np.asarray(anchor_stack, dtype=float)
-    batch, n = rtt.shape
-    if n < 4:
-        raise TooFewAnchors(f"need at least 4 anchors, got {n}")
-    if p_b.shape not in ((n, 3), (batch, n, 3)):
-        raise ValueError("anchor stack shape does not match the samples")
+    blocks = _blocks(rtt, depth, anchor_stack)
+    for r, _, p in blocks:
+        batch, n = r.shape
+        if n < 4:
+            raise TooFewAnchors(f"need at least 4 anchors, got {n}")
+        if p.shape not in ((n, 3), (batch, n, 3)):
+            raise ValueError("anchor stack shape does not match the samples")
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
-    q0 = np.empty((batch, 3))
-    q0[:, :2] = p_b[..., :2].mean(axis=-2)
-    q0[:, 2] = depth
+    q0 = np.empty((sum(len(r) for r, _, _ in blocks), 3))
+    end = 0
+    for r, d, p in blocks:
+        start, end = end, end + len(r)
+        q0[start:end, :2] = p[..., :2].mean(axis=-2)
+        q0[start:end, 2] = d
     q, iters, conv, singular = _estimate_batch(
-        rtt, depth, p_b, ssp, noise, config or EstimatorConfig(), q0, window=window
+        rtt, depth, anchor_stack, ssp, noise, config or EstimatorConfig(), q0, window=window
     )
     return q, iters, conv & ~singular, singular

@@ -11,14 +11,14 @@ whole in one task and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
 count without per-trial generators, and trial t of every scheme sees the
-same deviates.  A task is one cell, or a group of cells that share an
-anchor count, sound-speed profile and noise model and whose trials go
-through one estimator call (see ``_task_groups``); the Gauss-Newton
-trajectories of different trials are independent, so grouping moves no
-byte.  Contract 3 draws the streams of contract 2; its rows
-differ because the estimator stops on the Newton decrement and solves
-its normal equations from cofactors.  Contract 1 seeded each trial on
-its own.
+same deviates.  A task is one cell, or a group of cells that share a
+sound-speed profile and noise model and whose trials go through one
+estimator call whatever their anchor counts (see ``_task_groups``); the
+Gauss-Newton trajectories of different trials are independent, so
+grouping moves no byte.  Contract 3 draws the streams of contract 2;
+its rows differ because the estimator stops on the Newton decrement and
+solves its normal equations from cofactors.  Contract 1 seeded each
+trial on its own.
 Rows from Monte-Carlo runs report the depth-augmented CRLB trace
 averaged over the per-trial geometry, matching what the estimator (which
 also uses the depth sensor) can attain.  Radius-scale sweep rows skip
@@ -251,16 +251,25 @@ def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
     """Mean over trials of tr((F_tof + depth info)^-1), NaN-tolerant.
 
     rows and sigma2 are the per-trial Jacobian rows (trials, N, 3) and
-    timing variances (trials, N) at the true positions.
+    timing variances (trials, N) at the true positions.  A trial whose
+    matrix is not finite, or is exactly singular (an infinite variance
+    leaves only the depth row), has no bound and is left out; a cell with
+    none left reads NaN.
     """
     f = np.einsum("tni,tnj->tij", rows / sigma2[..., None], rows)
     f[:, 2, 2] += 1.0 / DEPTH_NOISE_VAR
     with np.errstate(all="ignore"):
-        ok = np.all(np.isfinite(f), axis=(1, 2))
+        ok = np.flatnonzero(np.all(np.isfinite(f), axis=(1, 2)))
         traces = np.full(len(f), np.nan)
-        if ok.any():
+        try:
             traces[ok] = np.trace(np.linalg.inv(f[ok]), axis1=1, axis2=2)
-    return float(np.nanmean(traces))
+        except np.linalg.LinAlgError:
+            for i in ok:
+                try:
+                    traces[i] = np.trace(np.linalg.inv(f[i]))
+                except np.linalg.LinAlgError:
+                    pass
+    return float(np.nanmean(traces)) if not np.isnan(traces).all() else math.nan
 
 
 _MOVE_STREAM, _DEPLOY_STREAM, _NOISE_STREAM = range(3)
@@ -295,15 +304,11 @@ def _measurements(
 
 
 class _Cell(NamedTuple):
-    """What a cell's row needs besides its estimates.
-
-    rows and sigma2 are the Jacobian rows and timing variances at the
-    true positions, which the bound reuses.
-    """
+    """What a cell's row needs besides its estimates: the true positions
+    and the bound averaged over them."""
 
     truth: np.ndarray
-    rows: np.ndarray
-    sigma2: np.ndarray
+    trace: float
     k_used: float
     n: int
 
@@ -318,8 +323,9 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
     The blocks are the unit movement directions, the random layouts, then
     the timing deviates with the depth deviate in the last column.  Travel
     times, noise levels and the bound's rows come from one batched kernel
-    call.  Returns the cell and its estimator inputs: the anchor stack,
-    the travel times and the depth readings.
+    call; the bound is taken here, so the rows are freed before any
+    estimation.  Returns the cell and its estimator inputs: the anchor
+    stack, the travel times and the depth readings.
     """
     anchors0, k_used, n = _fixed_layout(s)
     move = s.movement
@@ -342,47 +348,42 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
-    return _Cell(truth, rows, sigma2, k_used, n), anchor_stack, rtt, depth_meas
+    return _Cell(truth, _augmented_trace(rows, sigma2), k_used, n), anchor_stack, rtt, depth_meas
 
 
 def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
     """One Monte-Carlo execution of a group of cells, in one estimator call.
 
-    The cells share their anchor count, sound-speed profile and noise
-    model.  Each draws its trials on its own (``_draw_cell``); their
-    trials then go through one ``estimate_trials`` call, at most one
-    cell's worth iterating at a time.  A lone cell keeps its (N, 3)
-    shared layout; in a group it is broadcast to one layout per trial.
+    The cells share their sound-speed profile and noise model; their
+    anchor counts may differ.  Each draws its trials and takes its bound
+    on its own (``_draw_cell``); their trials then go through one
+    ``estimate_trials`` call as one block per cell, at most one cell's
+    worth iterating at a time.  A shared layout stays one (N, 3) array.
     Returns one result per cell, in order.
     """
     out: list[_CellResult | _Cell] = []
-    stacks, rtts, depths = [], [], []
-    for s in cells:
+    inputs = {}
+    for i, s in enumerate(cells):
         try:
-            cell, stack, rtt, depth = _draw_cell(s)
+            cell, *inputs[i] = _draw_cell(s)
         except AuvgeomError as e:
             out.append(e)
             continue
         out.append(cell)
-        stacks.append(stack)
-        rtts.append(rtt)
-        depths.append(depth)
-    if not rtts:
+    if not inputs:
         return out
-    if len(stacks) == 1:
-        stack = stacks[0]
-    else:
-        stack = np.concatenate([np.broadcast_to(p, (*t.shape, 3)) for p, t in zip(stacks, rtts)])
-    window = max(map(len, rtts))
-    rtt, depth = np.concatenate(rtts), np.concatenate(depths)
-    del stacks, rtts, depths  # the group's arrays hold the cells' inputs now
+    # blocks by anchor count: the estimator pads its active trials to the
+    # widest count among them, so then only the tails of the narrower
+    # blocks are padded, never a block's bulk
+    order = sorted(inputs, key=lambda i: out[i].n)
+    stacks, rtts, depths = (list(x) for x in zip(*(inputs[i] for i in order)))
     q_hat, _, converged, _ = estimate_trials(
-        rtt, depth, stack, cells[0].ssp, cells[0].noise, EstimatorConfig(), window=window
+        rtts, depths, stacks, cells[0].ssp, cells[0].noise, EstimatorConfig(),
+        window=max(map(len, rtts)),
     )
     end = 0
-    for i, cell in enumerate(out):
-        if isinstance(cell, AuvgeomError):
-            continue
+    for i in order:
+        cell = out[i]
         start, end = end, end + len(cell.truth)
         conv = converged[start:end]
         if not conv.any():
@@ -390,8 +391,7 @@ def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
             continue
         err2 = np.sum((q_hat[start:end][conv] - cell.truth[conv]) ** 2, axis=1)
         rmse_val = float(np.sqrt(err2.mean()))
-        trace = _augmented_trace(cell.rows, cell.sigma2)
-        out[i] = (rmse_val, trace, int((~conv).sum()), cell.k_used, cell.n)
+        out[i] = (rmse_val, cell.trace, int((~conv).sum()), cell.k_used, cell.n)
     return out
 
 
@@ -516,16 +516,16 @@ def _sweep_cells(spec: SweepSpec) -> list[_SweepCell]:
 def _task_groups(spec: SweepSpec, cells: list[_SweepCell]) -> list[list[int]]:
     """Indices into cells, one list per task, in the order of their first cell.
 
-    Monte-Carlo cells that share an anchor count, sound-speed profile and
-    noise model form one task when any of them draws a layout per trial,
-    so their iteration tails share one estimator loop.  Every other cell
-    is a task of its own: merging cells that all share one layout only
-    materializes that layout per trial.
+    Monte-Carlo cells that share a sound-speed profile and noise model
+    form one task when any of them draws a layout per trial, whatever
+    their anchor counts, so their iteration tails share one estimator
+    loop.  Every other cell is a task of its own: merging cells that all
+    share one layout only copies that layout into the estimator's window.
     """
     if spec.axis is Axis.SCALE_K:
         return [[i] for i in range(len(cells))]
     scenarios = [_cell_scenario(spec, variant, value) for _, variant, value in cells]
-    keys = [(_anchor_count(s), s.ssp, s.noise) for s in scenarios]
+    keys = [(s.ssp, s.noise) for s in scenarios]
     merged = {key for key, s in zip(keys, scenarios) if _draws_layouts(s)}
     groups: list[list[int]] = []
     by_key: dict = {}

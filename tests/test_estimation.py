@@ -1,5 +1,6 @@
 """Tests for the harness's measurements and the Gauss-Newton estimator."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,9 +33,6 @@ from auvgeom.fisher import (
 )
 from auvgeom.geometry import Position, SoundSpeedProfile
 from adapters import kernel_pair
-
-# a singular sample's garbage step must stay inside np.errstate
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SSP = SoundSpeedProfile(surface_speed_b=1480.0, steepness_a=0.1)
 TRUTH = Position(50.0, 50.0, 50.0)
@@ -423,18 +421,26 @@ def recorded_inputs(spec, cells):
     calls = []
     original = harness.estimate_trials
 
-    def record(rtt, depth, anchor_stack, ssp, noise, config, window):
-        calls.append((rtt, depth, anchor_stack, ssp, noise, config))
-        return original(rtt, depth, anchor_stack, ssp, noise, config, window=window)
+    def record(rtt, depth, anchors, ssp, noise, config, window):
+        # one cell per task: each call holds exactly one block
+        [r], [d], [p] = rtt, depth, anchors
+        calls.append((r, d, p, ssp, noise, config))
+        return original(rtt, depth, anchors, ssp, noise, config, window=window)
 
     harness.estimate_trials = record
     try:
-        # one cell per task, so each call holds exactly that cell's trials
         for scheme, value in cells:
             harness._sweep_one(spec, [(scheme, spec.schemes[scheme], value)])
     finally:
         harness.estimate_trials = original
     return calls
+
+
+@functools.cache
+def figure_inputs(maker):
+    """The recorded estimator inputs of every cell of a 150-trial seed-0 figure."""
+    spec = maker(master_seed=0, trials=150)
+    return recorded_inputs(spec, [(scheme, n) for scheme in spec.schemes for n in spec.values])
 
 
 class TestBatchMatchesReference:
@@ -545,6 +551,19 @@ class TestSharedLayout:
             np.testing.assert_array_equal(s, c, err_msg=name)
         return shared
 
+    def test_layout_reaches_the_kernel_uncopied(self, monkeypatch):
+        # a lone block's layout is neither padded nor copied per sample
+        seen = []
+        kernel = estimation._time_and_rows
+        monkeypatch.setattr(
+            estimation, "_time_and_rows", lambda q, p, ssp: seen.append(p) or kernel(q, p, ssp)
+        )
+        noise = NoiseModel.distance_dependent()
+        rtt, depth = measure(USC8, noise, 40, seed=4)
+        layout = np.array([p.as_array() for p in USC8])
+        estimate_trials(rtt, depth, layout, SSP, noise, window=16)
+        assert len(seen) > 3 and all(p is layout for p in seen)
+
     def test_cube_batch_with_distance_weights(self):
         cube = cube_positions(Position(50.0, 50.0, 25.0), 100.0, 8)
         noise = NoiseModel.distance_dependent()
@@ -571,52 +590,89 @@ class TestWindow:
     """Several cells through one estimate_trials call with a window.
 
     Each cell's slice of the output is what the cell's own call returns,
-    bit for bit: the shape of the Monte-Carlo harness's grouped cells.
+    bit for bit, whatever the cells' anchor counts: the shape of the
+    Monte-Carlo harness's grouped cells.  numpy sums fewer than 8 terms in
+    order and 8 or more pairwise, so cells of 7 and 8 anchors sit on
+    either side of the rounding that padding could move.
     """
 
     NAMES = ("q", "iterations", "converged", "singular")
 
     @staticmethod
     def cells(noise):
-        """(rtt, depth, anchors) of three 8-anchor cells: a shared usc layout,
-        a random layout per trial, and a shared layout in the AUV's
-        vertical plane, where every trial is singular."""
-        plane = [Position(x, 50.0, 0.0) for x in range(-100, 300, 50)]
+        """(rtt, depth, anchors) of five cells, not in anchor-count order:
+        a shared usc layout of 8, random layouts per trial of 7, a shared
+        5-anchor layout in the AUV's vertical plane, where every trial is
+        singular, a shared usc layout of 4 and random layouts per trial
+        of 5."""
         rng = np.random.default_rng(8)
-        stack = random_layouts(default_box_for(TRUTH), 8, rng, 60)
         q = np.tile(TRUTH.as_array(), (60, 1))
-        rtt, depth, _, _ = harness._measurements(q, stack, SSP, noise, rng.normal(size=(60, 9)))
-        layout = [np.array([p.as_array() for p in ps]) for ps in (USC8, plane)]
+
+        def per_trial(n, trials):
+            stack = random_layouts(default_box_for(TRUTH), n, rng, trials)
+            dev = rng.normal(size=(trials, n + 1))
+            rtt, depth, _, _ = harness._measurements(q[:trials], stack, SSP, noise, dev)
+            return rtt, depth, stack
+
+        def shared(anchors, trials, seed):
+            return *measure(anchors, noise, trials, seed), np.array([p.as_array() for p in anchors])
+
+        plane = [Position(x, 50.0, 0.0) for x in range(-100, 150, 50)]
         return [
-            (*measure(USC8, noise, 50, seed=1), layout[0]),
-            (rtt, depth, stack),
-            (*measure(plane, noise, 20, seed=2), layout[1]),
+            shared(USC8, 50, seed=1),
+            per_trial(7, 60),
+            shared(plane, 20, seed=2),
+            shared(usc_positions(TRUTH, 4, 1.0), 30, seed=3),
+            per_trial(5, 40),
         ]
 
     @staticmethod
     def merged(cells):
-        return (
-            np.concatenate([rtt for rtt, _, _ in cells]),
-            np.concatenate([depth for _, depth, _ in cells]),
-            np.concatenate([np.broadcast_to(p, (*rtt.shape, 3)) for rtt, _, p in cells]),
+        """The cells as estimate_trials' three lists of blocks."""
+        return tuple(list(part) for part in zip(*cells))
+
+    def check_merged(self, cells, ssp, noise, config, window):
+        """The merged call's output, checked against each cell's own call."""
+        alone = [estimate_trials(rtt, depth, p, ssp, noise, config) for rtt, depth, p in cells]
+        got = estimate_trials(*self.merged(cells), ssp, noise, config, window=window)
+        for name, g, parts in zip(self.NAMES, got, zip(*alone)):
+            np.testing.assert_array_equal(g, np.concatenate(parts), err_msg=name)
+        return got
+
+    def check_cells(self, noise, window, max_iterations):
+        config = EstimatorConfig(max_iterations=max_iterations)
+        _, iterations, converged, singular = self.check_merged(
+            self.cells(noise), SSP, noise, config, window
         )
+        # the plane cell is singular throughout; the others converge, and
+        # at a cap of 4 some of their trials stop there
+        plane = np.zeros(200, dtype=bool)
+        plane[110:130] = True
+        np.testing.assert_array_equal(singular, plane)
+        assert converged[~plane].any()
+        assert (iterations[~plane] == max_iterations).any() == (max_iterations == 4)
 
     @pytest.mark.parametrize("window", [7, 60, None])
     @pytest.mark.parametrize("max_iterations", [4, 100])
     def test_concatenated_cells_match_their_own_calls(self, window, max_iterations):
-        noise = NoiseModel.distance_dependent()
+        self.check_cells(NoiseModel.distance_dependent(), window, max_iterations)
+
+    @pytest.mark.parametrize("window", [7, 2000, None])
+    @pytest.mark.parametrize("max_iterations", [4, 100])
+    def test_constant_noise_cells_match_their_own_calls(self, window, max_iterations):
+        self.check_cells(NOISE_1MS, window, max_iterations)
+
+    @pytest.mark.parametrize("maker", [harness.fig4a_spec, harness.fig4b_spec])
+    @pytest.mark.parametrize("window, max_iterations", [(7, 4), (2000, 100), (None, 100)])
+    def test_recorded_figure_cells(self, maker, window, max_iterations):
+        # every seed-0 cell of the figure, usc and cube sharing a layout
+        # and random drawing one per trial, at every anchor count 4 to 8;
+        # 2000 is the production window, here below the 2250 trials
+        inputs = figure_inputs(maker)
+        assert sorted({rtt.shape[1] for rtt, *_ in inputs}) == [4, 5, 6, 7, 8]
+        _, _, _, ssp, noise, _ = inputs[0]
         config = EstimatorConfig(max_iterations=max_iterations)
-        cells = self.cells(noise)
-        alone = [estimate_trials(rtt, depth, p, SSP, noise, config) for rtt, depth, p in cells]
-        got = estimate_trials(*self.merged(cells), SSP, noise, config, window=window)
-        for name, g, parts in zip(self.NAMES, got, zip(*alone)):
-            np.testing.assert_array_equal(g, np.concatenate(parts), err_msg=name)
-        # the plane cell is singular throughout; the other two converge,
-        # and at a cap of 4 most of their trials stop there
-        _, iterations, converged, singular = got
-        assert singular[110:].all() and not singular[:110].any()
-        assert converged[:110].any()
-        assert (iterations[:110] == max_iterations).any() == (max_iterations == 4)
+        self.check_merged([args[:3] for args in inputs], ssp, noise, config, window)
 
     def test_active_set_never_exceeds_the_window(self, monkeypatch):
         noise = NoiseModel.distance_dependent()
@@ -633,10 +689,34 @@ class TestWindow:
         assert ((iterations > 0) | singular).all()
         assert sum(sizes) == iterations.sum() + singular.sum()
 
+    def test_kernel_calls_stay_window_sized(self, monkeypatch):
+        # the kernel sees a sample's start when it is admitted and then
+        # its line-search candidates: no call covers more pairs than the
+        # window times the widest count times the largest candidate group
+        noise = NoiseModel.distance_dependent()
+        pairs = []
+        kernel = estimation._time_and_rows
+
+        def counted(q, p, ssp):
+            t, rows = kernel(q, p, ssp)
+            pairs.append(t.size)
+            return t, rows
+
+        monkeypatch.setattr(estimation, "_time_and_rows", counted)
+        estimate_trials(*self.merged(self.cells(noise)), SSP, noise, window=16)
+        assert max(pairs) <= 16 * 8 * max(map(len, estimation._STEP_SCALES))
+        assert sum(pairs) > 200 * 8
+
     def test_window_must_be_positive(self):
         rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)
         with pytest.raises(ValueError, match="window"):
             estimate_trials(rtt, depth, as_stack(USC8, 3), SSP, NOISE_1MS, window=0)
+
+    def test_blocks_must_come_in_equal_lists(self):
+        rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)
+        layout = np.array([p.as_array() for p in USC8])
+        with pytest.raises(ValueError):
+            estimate_trials([rtt, rtt], [depth], [layout, layout], SSP, NOISE_1MS)
 
 
 class TestConditionScreen:

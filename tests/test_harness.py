@@ -47,6 +47,7 @@ from auvgeom.harness import (
     export_csv,
     fig3_spec,
     fig4a_spec,
+    fig4b_spec,
     fig5_spec,
     fig6_spec,
     k_objective,
@@ -286,9 +287,9 @@ class TestSweep:
 
 
 class TestTaskGroups:
-    """Cells that share an anchor count, profile and noise model run through
-    one estimator call when any of them draws a layout per trial.  The rows
-    are still each cell's own."""
+    """Cells that share a profile and noise model run through one estimator
+    call when any of them draws a layout per trial, whatever their anchor
+    counts.  The rows are still each cell's own."""
 
     @staticmethod
     def csv_alone(spec):
@@ -303,7 +304,8 @@ class TestTaskGroups:
         original = harness.estimate_trials
 
         def count(rtt, *args, **kwargs):
-            calls.append((len(rtt), kwargs["window"]))
+            # trials over every block of the call, and its window
+            calls.append((sum(map(len, rtt)), kwargs["window"]))
             return original(rtt, *args, **kwargs)
 
         monkeypatch.setattr(harness, "estimate_trials", count)
@@ -313,8 +315,9 @@ class TestTaskGroups:
         def groups(spec):
             return _task_groups(spec, _sweep_cells(spec))
 
-        # fig4a: usc, cube and random at each anchor count
-        assert groups(fig4a_spec(trials=10)) == [[i, i + 5, i + 10] for i in range(5)]
+        # fig4a and fig4b: usc, cube and random at every anchor count
+        assert groups(fig4a_spec(trials=10)) == [list(range(15))]
+        assert groups(fig4b_spec(trials=10)) == [list(range(15))]
         # fig5: frozen layouts only, so one task per cell in row order
         assert groups(fig5_spec(trials=10)) == [[i] for i in range(15)]
         # fig6: rs-usc rebuilds its circle every trial; every cell shares n = 8
@@ -322,12 +325,12 @@ class TestTaskGroups:
         assert groups(fig3_spec()) == [[i] for i in range(105)]
 
     def test_early_failure_keeps_the_other_rows(self, monkeypatch):
-        # cube n=9 fails before drawing a trial; usc and random at n=9 still
-        # share one call, as the three n=8 cells do
+        # cube n=9 fails before drawing a trial; the other five cells, n=8
+        # and n=9, still share one call
         spec = replace(fig4a_spec(trials=20), values=(8.0, 9.0))
         calls = self.estimator_calls(monkeypatch)
         table = sweep(spec)
-        assert calls == [(60, 20), (40, 20)]
+        assert calls == [(100, 20)]
         assert csv_text(table) == self.csv_alone(spec)
         failed = [r for r in table.rows if r.note]
         assert [(r.scheme, r.axis_value) for r in failed] == [("cube", 9.0)]
@@ -337,13 +340,14 @@ class TestTaskGroups:
 
     def test_cell_without_converged_trials_keeps_the_other_rows(self, monkeypatch, tmp_path):
         # anchors drawn from a 1 m box, 70 m from the AUV: every trial's
-        # first step runs away, while the usc trials in the same call converge
+        # first step runs away, while the usc trials in the same call
+        # converge; both anchor counts share that call
         tiny = Random(box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), seed=None)
         schemes = {"usc": Variant(deployment=Usc(n=8)), "tiny": Variant(deployment=tiny)}
         spec = replace(fig4a_spec(trials=20), values=(6.0, 8.0), schemes=schemes)
         calls = self.estimator_calls(monkeypatch)
         table = sweep(spec, workers=2)
-        assert calls == [(40, 20), (40, 20)]
+        assert calls == [(80, 20)]
         text = csv_text(table)
         assert text == self.csv_alone(spec)
         for r in table.rows:
