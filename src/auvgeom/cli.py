@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .deployment import (
     OptimizerConfig,
@@ -97,8 +95,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _merge(base: dict, override: dict, path: str = "") -> None:
-    """Recursive in-place merge; keys absent from the defaults are typos."""
+def _merge(base: dict, override: dict, assigned: set, path: str = "") -> None:
+    """Recursive in-place merge, adding each leaf it sets to ``assigned`` as a
+    dotted key; keys absent from the defaults are typos."""
     for key, value in override.items():
         where = f"{path}{key}"
         if key not in base:
@@ -106,12 +105,13 @@ def _merge(base: dict, override: dict, path: str = "") -> None:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} expects an object")
-            _merge(base[key], value, where + ".")
+            _merge(base[key], value, assigned, where + ".")
         else:
             base[key] = value
+            assigned.add(where)
 
 
-def _apply_set(cfg: dict, assignment: str) -> None:
+def _apply_set(cfg: dict, assigned: set, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"--set needs dotted.path=value, got {assignment!r}")
     dotted, raw = assignment.split("=", 1)
@@ -122,12 +122,13 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node = value
     for part in reversed(dotted.split(".")):
         node = {part: node}
-    _merge(cfg, node)
+    _merge(cfg, node, assigned)
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    # two dict levels: _merge rebinds leaves and nothing edits a leaf list in place
+def _resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
+    # the config and the leaves the arguments set; two dict levels: _merge rebinds leaves and nothing edits a leaf list in place
     cfg = {key: dict(v) if isinstance(v, dict) else v for key, v in DEFAULT_CONFIG.items()}
+    assigned: set = set()
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -138,14 +139,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {args.config!r} is not valid JSON: {e}") from e
         if not isinstance(document, dict):
             raise ConfigError(f"config file {args.config!r} must hold a JSON object")
-        _merge(cfg, document)
+        _merge(cfg, document, assigned)
     for assignment in args.set or ():
-        _apply_set(cfg, assignment)
+        _apply_set(cfg, assigned, assignment)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
+        assigned.add("master_seed")
     if args.workers is not None:
         cfg["workers"] = args.workers
-    return cfg
+        assigned.add("workers")
+    return cfg, assigned
 
 
 def _is_number(v) -> bool:
@@ -183,24 +186,6 @@ _NULLABLE = {
 }
 
 
-def _validate_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> None:
-    """Reject leaves of the wrong type or non-finite numbers, naming the key."""
-    for key, default in defaults.items():
-        where = f"{path}{key}"
-        value = cfg[key]
-        if isinstance(default, dict):
-            _validate_config(value, default, where + ".")
-            continue
-        if default is None:
-            if value is None:
-                continue
-            ok, expected = _NULLABLE[where]
-        else:
-            ok, expected = _LEAF_TYPES[type(default)]
-        if not ok(value):
-            raise ConfigError(f"config key {where!r} expects {expected}, got {value!r}")
-
-
 def _ordered_box(box) -> bool:
     (x0, x1), (y0, y1), (z0, z1) = box
     return x0 <= x1 and y0 <= y1 and 0 <= z0 <= z1
@@ -226,11 +211,38 @@ _RANGES = (
 )
 
 
-def _check_ranges(cfg: dict) -> None:
+def _leaf_defaults(defaults: dict = DEFAULT_CONFIG, path: str = ""):
+    """(dotted key, default) of every leaf, in DEFAULT_CONFIG order."""
+    for key, default in defaults.items():
+        where = f"{path}{key}"
+        if isinstance(default, dict):
+            yield from _leaf_defaults(default, where + ".")
+        else:
+            yield where, default
+
+
+_LEAF_DEFAULTS = dict(_leaf_defaults())
+
+
+def _leaf(cfg: dict, key: str):
+    return functools.reduce(dict.__getitem__, key.split("."), cfg)
+
+
+def _check_leaves(cfg: dict, assigned: set) -> None:
+    """Reject an assigned leaf of the wrong type or out of its range, naming the key.
+
+    The other leaves hold valid defaults.  Types go before ranges, each in
+    DEFAULT_CONFIG order, so the first bad leaf is the one a full walk finds.
+    """
+    values = {key: _leaf(cfg, key) for key in _LEAF_DEFAULTS if key in assigned}
+    for key, value in values.items():
+        default = _LEAF_DEFAULTS[key]
+        ok, expected = _NULLABLE[key] if default is None else _LEAF_TYPES[type(default)]
+        if not (default is None is value or ok(value)):
+            raise ConfigError(f"config key {key!r} expects {expected}, got {value!r}")
     for key, ok, rule in _RANGES:
-        value = functools.reduce(dict.__getitem__, key.split("."), cfg)
-        if not ok(value):
-            raise ConfigError(f"config key {key!r} {rule}, got {value!r}")
+        if key in values and not ok(values[key]):
+            raise ConfigError(f"config key {key!r} {rule}, got {values[key]!r}")
 
 
 def _build_noise(cfg: dict) -> NoiseModel:
@@ -305,16 +317,6 @@ def _metadata(cfg: dict) -> tuple[str, ...]:
     return (f"auvgeom {__version__}", f"config {resolved}")
 
 
-def _changed_leaves(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = ""):
-    """Dotted keys whose value differs from the default, in document order."""
-    for key, default in defaults.items():
-        where = f"{path}{key}"
-        if isinstance(default, dict):
-            yield from _changed_leaves(cfg[key], default, where + ".")
-        elif cfg[key] != default:
-            yield where
-
-
 # config leaves a --figure preset may read; it gets those its function's signature names
 _FIGURE_KEYS = ("master_seed", "trials", "workers")
 
@@ -333,7 +335,7 @@ def cmd_crlb(args: argparse.Namespace, cfg: dict) -> int:
         "trace_crlb_m2": result.trace_crlb,
         "diagonal_lower_bound_m2": diagonal_lower_bound(result),
         "offdiag_residual": result.offdiag_residual,
-        "condition_number": float(np.linalg.cond(result.fim)),
+        "condition_number": result.condition_number,
     }
     print("\n".join(f"{name} {value!r}" for name, value in metrics.items()))
     out = _out_dir(args)
@@ -392,7 +394,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     spec = None
     comments = _metadata(cfg)
     if args.figure is not None:
-        ignored = next((k for k in _changed_leaves(cfg) if k not in _FIGURE_KEYS), None)
+        changed = (k for k, d in _LEAF_DEFAULTS.items() if _leaf(cfg, k) != d)
+        ignored = next((k for k in changed if k not in _FIGURE_KEYS), None)
         if ignored is not None:
             raise ConfigError(
                 f"--figure {args.figure} fixes its own scenario; config key {ignored!r} "
@@ -471,9 +474,8 @@ def main(argv: list[str] | None = None) -> int:
         print("--figure applies to the simulate command", file=sys.stderr)
         return 2
     try:
-        cfg = _resolve_config(args)
-        _validate_config(cfg)
-        _check_ranges(cfg)
+        cfg, assigned = _resolve_config(args)
+        _check_leaves(cfg, assigned)
         if args.command == "crlb":
             return cmd_crlb(args, cfg)
         if args.command == "optimize-k":

@@ -21,8 +21,10 @@ Each group is one broadcast kernel call over the samples still rejected,
 and a sample takes the first scale that passes.  The ray kernel's
 travel times and Jacobian rows at an accepted candidate become the next
 iterate's, so the kernel runs once on the starting points and then only
-on candidates.  A normal matrix counts as singular under the same
-screened cond > 1e12 test that ``fim`` applies to the Fisher matrix.
+on candidates.  A normal matrix counts as singular under the cond > 1e12
+rule that ``fim`` applies to the Fisher matrix, screened by
+``fisher._condition_screen`` so that most of a stack skips the
+eigenvalue solve.
 
 A sample stops in one of two places.  The first comes before the line
 search: its normal matrix is singular; or the Newton decrement of its
@@ -152,7 +154,7 @@ def _normal_steps(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows 0-5 are the 00, 11, 22, 01, 12 and 02 entries of J^T W J and
     rows 6-8 are J^T W r.  Returns the steps (batch, 3) and the singular
-    mask of ``fisher._ill_conditioned``; a singular row's step is garbage.
+    mask of ``fisher._condition_screen``; a singular row's step is garbage.
     One cofactor pass gives the screen its determinant and every matrix
     the screen clears its step adj J^T W r / det.  The few that the
     tr^3 / det bound does not clear, where the determinant may have lost

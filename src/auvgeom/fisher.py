@@ -30,13 +30,16 @@ where row i of J is the gradient above for anchor i.
 anchor-AUV pairs, and ``_sigma2`` the timing variances.  They are the one
 source of both for ``fim``, the Monte-Carlo harness's measurements and
 bound, and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
-refuses a matrix whose condition number exceeds 1e12 with the same
-screened test the estimator applies to its normal matrices, and inverts
-the rest with LAPACK.
+refuses a matrix whose condition number exceeds 1e12, and inverts the
+rest with LAPACK.  One rule judges both its single matrix, by one
+``eigvalsh`` that also gives the condition number it reports, and the
+estimator's stacks of normal matrices, where ``_condition_screen`` skips
+the solve for the matrices that a tr^3 / det bound clears.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +115,16 @@ class FimResult:
     """Fisher matrix, its inverse, and diagnostic scalars.
 
     offdiag_residual is max |F_jk| over j != k divided by max |F_jj|; it
-    is the numerical witness of layout diagonality.
+    is the numerical witness of layout diagonality.  condition_number is
+    ``_condition_number`` of the Fisher matrix, the number ``fim`` compares
+    against 1e12 (NaN when the result was built by hand).
     """
 
     fim: np.ndarray
     crlb: np.ndarray
     trace_crlb: float
     offdiag_residual: float
+    condition_number: float = math.nan
 
 
 def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile):
@@ -230,10 +236,14 @@ def _condition_screen(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ill, cleared) masks of a (..., 3, 3) stack of symmetric matrices.
 
-    ill is ``_ill_conditioned``'s verdict.  cleared marks the finite
-    matrices that the tr^3 / det bound passes without an eigenvalue
-    solve: their cond is at most 1e11.  det, when given, must be
-    ``_first_row_expansion``'s determinant of the stack, flattened.
+    ill marks the matrices whose ``_condition_number`` exceeds 1e12.
+    They are Fisher or normal matrices, positive semi-definite up to
+    rounding, and such a matrix with det > 0 has cond <= tr^3 / det,
+    since tr^3 >= l_max^2 * l_mid.  cleared marks the finite matrices
+    this bound passes at 1e11, a decade below the limit so that rounding
+    in tr and det cannot matter: they skip the eigenvalue solve.  det,
+    when given, must be ``_first_row_expansion``'s determinant of the
+    stack, flattened.
     """
     entries = m.reshape(-1, 9).T
     finite = np.isfinite(entries).all(axis=0)
@@ -251,18 +261,17 @@ def _condition_screen(
     return bad.reshape(m.shape[:-2]), clear.reshape(m.shape[:-2])
 
 
-def _ill_conditioned(m: np.ndarray) -> np.ndarray:
-    """True where a symmetric 3x3 matrix is non-finite or has cond > 1e12.
+def _condition_number(m: np.ndarray) -> float:
+    """2-norm condition number of one symmetric 3x3 matrix, from one ``eigvalsh``.
 
-    m is a (..., 3, 3) stack.  cond is the 2-norm condition number: the
-    ratio of the largest to the smallest absolute eigenvalue, inf when
-    the smallest is zero.  The matrices are Fisher or normal matrices,
-    positive semi-definite up to rounding, and such a matrix with
-    det > 0 has cond <= tr^3 / det, since tr^3 >= l_max^2 * l_mid.
-    Matrices that bound clears at 1e11, a decade below the limit so that
-    rounding in tr and det cannot matter, skip the eigenvalue solve.
+    The ratio of the largest to the smallest absolute eigenvalue; inf
+    when the smallest is zero or the matrix is not finite.
     """
-    return _condition_screen(m)[0]
+    if not all(map(math.isfinite, m.ravel().tolist())):
+        return math.inf
+    ev = [abs(e) for e in np.linalg.eigvalsh(m).tolist()]
+    lo = min(ev)
+    return max(ev) / lo if lo > 0.0 else math.inf
 
 
 def fim(
@@ -277,7 +286,8 @@ def fim(
     variances.  Raises TooFewAnchors below four anchors,
     DegenerateGeometry naming the first anchor whose row is undefined,
     and SingularFim when the matrix is not finite or its condition
-    number exceeds 1e12; otherwise the CRLB is its inverse.
+    number (``_condition_number``, returned too) exceeds 1e12; otherwise
+    the CRLB is its inverse.
     """
     if len(anchors) < 4:
         raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
@@ -294,16 +304,19 @@ def fim(
     with np.errstate(all="ignore"):
         f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, noise)[:, None])
         f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding
-    if _ill_conditioned(f):
+    cond = _condition_number(f)
+    if not cond <= CONDITION_LIMIT:
         raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")
     crlb = np.linalg.inv(f)
     crlb = 0.5 * (crlb + crlb.T)  # symmetrize roundoff
-    offdiag = max(abs(f[0, 1]), abs(f[0, 2]), abs(f[1, 2])) / np.diagonal(f).max()
+    f00, f01, f02, _, f11, f12, _, _, f22 = f.ravel().tolist()
+    c00, _, _, _, c11, _, _, _, c22 = crlb.ravel().tolist()
     return FimResult(
         fim=f,
         crlb=crlb,
-        trace_crlb=float(np.trace(crlb)),
-        offdiag_residual=float(offdiag),
+        trace_crlb=c00 + c11 + c22,
+        offdiag_residual=max(abs(f01), abs(f02), abs(f12)) / max(f00, f11, f22),
+        condition_number=cond,
     )
 
 
@@ -313,7 +326,8 @@ def diagonal_lower_bound(result: FimResult) -> float:
     Equals trace_crlb exactly when the FIM is diagonal.  Raises
     ZeroDiagonal when a diagonal entry vanishes.
     """
-    diag = np.diagonal(result.fim)
-    if np.any(diag == 0.0):
+    diag = np.diagonal(result.fim).tolist()
+    if 0.0 in diag:
         raise ZeroDiagonal("a diagonal Fisher entry is zero")
-    return float(np.sum(1.0 / diag))
+    d0, d1, d2 = diag
+    return 1.0 / d0 + 1.0 / d1 + 1.0 / d2

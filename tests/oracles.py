@@ -1,7 +1,8 @@
 """Reference formulas that the vectorized code is checked against.
 
-They share no code with the batched kernel ``fisher._time_and_rows``,
-the shared variance function ``fisher._sigma2`` or ``fim``:
+Apart from ``reference_fim``, they share no code with the batched kernel
+``fisher._time_and_rows``, the shared variance function
+``fisher._sigma2`` or ``fim``:
 
 - ``snell_travel_time_oracle`` integrates the travel time from Snell's
   law, with no use of the closed form;
@@ -18,6 +19,13 @@ The radius-scale grid is evaluated point by point through the scalar
 grid as they were written before the scene's k-free terms were hoisted
 into ``deployment._k_objective_fn``: every evaluation re-derives the
 scene and runs every check.
+
+``reference_fim`` and ``reference_diagonal_lower_bound`` are ``fim`` and
+``diagonal_lower_bound`` as they were written before ``fim`` judged its
+matrix by its own ``eigvalsh``: the same kernel rows, variances and
+weighted product, refused by the batched ``fisher._condition_screen``,
+reduced by numpy, and with numpy's SVD-based ``np.linalg.cond`` as the
+condition number.  Bits compare, so they call the kernel themselves.
 """
 
 import math
@@ -25,8 +33,23 @@ import math
 import numpy as np
 
 from auvgeom.deployment import KSearchResult, k_objective
-from auvgeom.errors import NonPositiveK, TooFewAnchors
-from auvgeom.fisher import KIND_CONSTANT, _variance_at, noise_variance
+from auvgeom.errors import (
+    DegenerateGeometry,
+    NonPositiveK,
+    SingularFim,
+    TooFewAnchors,
+    ZeroDiagonal,
+)
+from auvgeom.fisher import (
+    CONDITION_LIMIT,
+    KIND_CONSTANT,
+    FimResult,
+    _condition_screen,
+    _sigma2,
+    _time_and_rows,
+    _variance_at,
+    noise_variance,
+)
 from auvgeom.geometry import COINCIDENT_TOL
 
 
@@ -287,3 +310,42 @@ def reference_optimize_k(z, n, ssp, noise, cfg):
             break
         k, f_k = k_new, f_new
     return KSearchResult(k, iterations, abs(grad) <= cfg.precision_eps, f_k * f0)
+
+
+def reference_fim(q, anchors, ssp, noise):
+    """fim refused by the batched screen, with numpy reductions and np.linalg.cond."""
+    if len(anchors) < 4:
+        raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
+    q_xyz, p_xyz = q.as_array(), np.array([p.as_array() for p in anchors])
+    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
+    bad = np.flatnonzero(np.isnan(rows).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if np.hypot(*(q_xyz[:2] - p_xyz[i, :2])) <= COINCIDENT_TOL:
+            reason = "zero horizontal range"
+        else:
+            reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
+        raise DegenerateGeometry(f"anchor {i}: {reason}")
+    with np.errstate(all="ignore"):
+        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, noise)[:, None])
+        f = 0.5 * (f + f.T)
+    if _condition_screen(f)[0]:
+        raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")
+    crlb = np.linalg.inv(f)
+    crlb = 0.5 * (crlb + crlb.T)
+    offdiag = max(abs(f[0, 1]), abs(f[0, 2]), abs(f[1, 2])) / np.diagonal(f).max()
+    return FimResult(
+        fim=f,
+        crlb=crlb,
+        trace_crlb=float(np.trace(crlb)),
+        offdiag_residual=float(offdiag),
+        condition_number=float(np.linalg.cond(f)),
+    )
+
+
+def reference_diagonal_lower_bound(result):
+    """Sum of the reciprocal Fisher diagonals, as one numpy reduction."""
+    diag = np.diagonal(result.fim)
+    if np.any(diag == 0.0):
+        raise ZeroDiagonal("a diagonal Fisher entry is zero")
+    return float(np.sum(1.0 / diag))

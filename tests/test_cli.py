@@ -198,6 +198,99 @@ class TestConfigResolution:
         assert run(capsys, *argv)[0] == 0
         assert cli.DEFAULT_CONFIG == before
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a type error outranks a range error met earlier
+            (
+                ["--set", "noise.beta=3", "--set", "deployment.n=4.5"],
+                "config key 'deployment.n' expects an integer, got 4.5",
+            ),
+            (
+                ["--set", "auv=[1,2,-5]", "--set", 'trials="x"'],
+                "config key 'trials' expects an integer, got 'x'",
+            ),
+            # two range errors: the first in DEFAULT_CONFIG order, not argv order
+            (
+                ["--set", "trials=0", "--set", "noise.beta=3"],
+                "config key 'noise.beta' must lie in [1, 2], got 3",
+            ),
+            (
+                ["--workers", "0", "--set", "auv=[50,50,0]"],
+                "config key 'auv' must have z > 0 (the AUV below the surface), got [50, 50, 0]",
+            ),
+            (
+                ["--seed", "-3", "--set", "movement.delta_meters=-1"],
+                "config key 'movement.delta_meters' must be >= 0, got -1",
+            ),
+            (["--seed", "-3"], "config key 'master_seed' must be >= 0, got -3"),
+        ],
+    )
+    def test_several_bad_leaves_name_the_same_key(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path), "crlb")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_config_file_leaves_are_checked(self, capsys, tmp_path):
+        doc = tmp_path / "run.json"
+        doc.write_text(json.dumps({"noise": {"beta": 3}, "deployment": {"n": "eight"}}))
+        code, _, err = run(capsys, "--config", str(doc), "crlb")
+        assert code == 2
+        assert err.splitlines() == ["error: config key 'deployment.n' expects an integer, got 'eight'"]
+
+    def test_set_overrides_a_bad_config_file_leaf(self, capsys, tmp_path):
+        doc = tmp_path / "run.json"
+        doc.write_text(json.dumps({"noise": {"beta": 3}}))
+        code, _, err = run(capsys, "--config", str(doc), "crlb")
+        assert code == 2
+        assert err.splitlines() == ["error: config key 'noise.beta' must lie in [1, 2], got 3"]
+        code, out, err = run(capsys, "--config", str(doc), "--set", "noise.beta=1.5", "crlb")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[0].startswith("trace_crlb_m2 ")
+
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (
+                ["--set", "deployment.kind=cube", "--set", "deployment.n=6",
+                 "--set", "noise.kind=constant_variance", "--set", "noise.sigma_ms=2.5",
+                 "--seed", "4", "crlb"],
+                '# config {"auv":[50.0,50.0,50.0],"deployment":{"anchors":null,"box":null,'
+                '"center":null,"kind":"cube","n":6,"scale_k":null,"seed":null,"side":null},'
+                '"master_seed":4,"movement":{"delta_meters":0.0,"kind":"static","seed":0},'
+                '"noise":{"beta":2.0,"ke_db":-10.0,"kind":"constant_variance","l0":1000.0,'
+                '"l_f_db_per_km":1.0,"sigma_ms":2.5},"optimizer":{"fd_step_h":1e-05,'
+                '"initial_k":1.0,"max_iterations_Nmax":200,"precision_eps":1e-06,'
+                '"step_size_t":0.1},"ssp":{"steepness_a":0.1,"surface_speed_b":1480.0},'
+                '"sweep":{"axis":null,"values":null},"trials":2000}',
+            ),
+            (
+                ["--set", "trials=4", "--set", "sweep.axis=sigma_ms",
+                 "--set", "sweep.values=[1,2]", "--set", "noise.kind=constant_variance",
+                 "--set", "movement.kind=rs-usc", "--set", "movement.delta_meters=20",
+                 "--workers", "2", "simulate"],
+                '# config {"auv":[50.0,50.0,50.0],"deployment":{"anchors":null,"box":null,'
+                '"center":null,"kind":"usc","n":8,"scale_k":null,"seed":null,"side":null},'
+                '"master_seed":0,"movement":{"delta_meters":20,"kind":"rs-usc","seed":0},'
+                '"noise":{"beta":2.0,"ke_db":-10.0,"kind":"constant_variance","l0":1000.0,'
+                '"l_f_db_per_km":1.0,"sigma_ms":1.0},"optimizer":{"fd_step_h":1e-05,'
+                '"initial_k":1.0,"max_iterations_Nmax":200,"precision_eps":1e-06,'
+                '"step_size_t":0.1},"ssp":{"steepness_a":0.1,"surface_speed_b":1480.0},'
+                '"sweep":{"axis":"sigma_ms","values":[1,2]},"trials":4}',
+            ),
+        ],
+        ids=["crlb", "simulate"],
+    )
+    def test_config_record_is_frozen(self, capsys, tmp_path, argv, record):
+        # the resolved config the CSV records, byte for byte, with no bookkeeping key
+        code, _, _ = run(capsys, "--out", str(tmp_path), *argv)
+        assert code == 0
+        (path,) = tmp_path.glob("*.csv")
+        lines = path.read_text().splitlines()
+        assert lines[1] == record
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -26,7 +26,6 @@ from auvgeom.estimation import (
 from auvgeom.fisher import (
     NoiseModel,
     _condition_screen,
-    _ill_conditioned,
     _sigma2,
     _time_and_rows,
     fim,
@@ -750,7 +749,7 @@ class TestConditionScreen:
         assert want.tolist() == [
             False, False, True, True, True, True, True, False, True, True, True, False
         ]
-        np.testing.assert_array_equal(_ill_conditioned(mats), want)
+        np.testing.assert_array_equal(_condition_screen(mats)[0], want)
 
     def test_random_normal_matrices(self):
         # Gram matrices of designs whose column scales spread over many
@@ -760,7 +759,7 @@ class TestConditionScreen:
         jtj = np.einsum("bni,bnj->bij", design, design)
         want = eigvalsh_rule(jtj)
         assert 0 < want.sum() < 100
-        np.testing.assert_array_equal(_ill_conditioned(jtj), want)
+        np.testing.assert_array_equal(_condition_screen(jtj)[0], want)
 
 
 class TestNormalSteps:

@@ -12,10 +12,14 @@ from auvgeom.errors import (
     TooFewAnchors,
     ZeroDiagonal,
 )
+from auvgeom.deployment import cube_positions, random_positions, usc_positions
 from auvgeom.fisher import (
+    CONDITION_LIMIT,
     DEGENERACY_TOL,
     FimResult,
     NoiseModel,
+    _condition_number,
+    _condition_screen,
     _time_and_rows,
     diagonal_lower_bound,
     fim,
@@ -31,6 +35,8 @@ from oracles import (
     chain_row,
     closed_row,
     log_form_time,
+    reference_diagonal_lower_bound,
+    reference_fim,
 )
 
 SSP = SoundSpeedProfile(1480.0, 0.1)
@@ -257,6 +263,159 @@ class TestFim:
         q, anchors = random_scene(np.random.default_rng(53))
         with pytest.raises(SingularFim):
             fim(q, anchors, SSP, NoiseModel.distance_dependent(ke_db=-2.2e163))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def oracle_scenes(rng, count):
+    """count seeded (q, anchors, ssp, noise) scenes.
+
+    The layouts cycle through usc, cube and random and the noise models
+    through distance-dependent and constant, so every pairing recurs;
+    n runs over 4-8, z over 1-300 m and the steepness over 1e-4-1 s^-1.
+    """
+    for i in range(count):
+        z = rng.uniform(1.0, 300.0)
+        q = Position(rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0), z)
+        n = int(rng.integers(4, 9))
+        layout = i % 3
+        if layout == 0:
+            anchors = usc_positions(q, n, 10.0 ** rng.uniform(-1.0, 0.7))
+        elif layout == 1:
+            offset = z * rng.uniform(-3.0, 3.0, 2)
+            center = Position(q.x + offset[0], q.y + offset[1], 0.0)
+            anchors = cube_positions(center, z * rng.uniform(0.2, 3.0), n)
+        else:
+            half = z * rng.uniform(0.5, 3.0)
+            box = ((q.x - half, q.x + half), (q.y - half, q.y + half), (0.0, z * rng.uniform(0.0, 2.0)))
+            anchors = random_positions(box, n, rng)
+        ssp = SoundSpeedProfile(1480.0, 10.0 ** rng.uniform(-4.0, 0.0))
+        if i % 2:
+            noise = NoiseModel.constant_variance(10.0 ** rng.uniform(-5.0, -2.0))
+        else:
+            noise = NoiseModel.distance_dependent(
+                ke_db=rng.uniform(-40.0, 10.0),
+                beta=rng.uniform(1.0, 2.0),
+                l0=10.0 ** rng.uniform(1.0, 4.0),
+                l_f_db_per_km=rng.uniform(0.0, 5.0),
+            )
+        yield q, anchors, ssp, noise
+
+
+def _ring(q, d=60.0):
+    return [Position(q.x + d, q.y, 0), Position(q.x, q.y + d, 0), Position(q.x - d, q.y, 0)]
+
+
+# the error scenes the suite builds elsewhere, with the error each raises
+ERROR_SCENES = {
+    "anchor straight above": (
+        Position(0, 0, 100), [Position(0, 0, 0), *_ring(Position(0, 0, 100))], DegenerateGeometry
+    ),
+    "grazing pair": (
+        Position(0, 0, 1000), [Position(1e-10, 0, 0), *_ring(Position(0, 0, 1000))],
+        DegenerateGeometry,
+    ),
+    "one vertical plane": (
+        Position(0, 0, 50), [Position(x, 0, 0) for x in (40, 90, -60, -120)], SingularFim
+    ),
+    "three anchors": (Position(0, 0, 50), _ring(Position(0, 0, 50)), TooFewAnchors),
+}
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateGeometry, SingularFim, TooFewAnchors, ZeroDiagonal) as e:
+        return type(e), str(e)
+
+
+class TestFimOracle:
+    """fim against the reference written with the batched screen and np.linalg.cond."""
+
+    def assert_same(self, q, anchors, ssp, noise):
+        got = outcome(fim, q, anchors, ssp, noise)
+        want = outcome(reference_fim, q, anchors, ssp, noise)
+        if isinstance(want, tuple):
+            assert got == want
+            return want[0]
+        assert isinstance(got.trace_crlb, float) and isinstance(got.offdiag_residual, float)
+        assert isinstance(got.condition_number, float)
+        for name in ("fim", "crlb", "trace_crlb", "offdiag_residual"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        assert bits(outcome(diagonal_lower_bound, got)) == bits(
+            outcome(reference_diagonal_lower_bound, want)
+        )
+        assert got.condition_number == pytest.approx(want.condition_number, rel=1e-9)
+        return None
+
+    def test_seeded_scenes_match_bit_for_bit(self):
+        errors = [
+            self.assert_same(*scene)
+            for scene in oracle_scenes(np.random.default_rng(59), 5400)
+        ]
+        assert errors.count(None) > 5000
+
+    @pytest.mark.parametrize("name", sorted(ERROR_SCENES))
+    def test_error_scenes_raise_alike(self, name):
+        q, anchors, error = ERROR_SCENES[name]
+        assert self.assert_same(q, anchors, SSP, NOISE_1MS) is error
+
+    def test_underflowing_variance_raises_alike(self):
+        # sigma^2 underflows to 0, so the Fisher matrix is not finite
+        q, anchors = random_scene(np.random.default_rng(53))
+        noise = NoiseModel.distance_dependent(ke_db=-2.2e163)
+        assert self.assert_same(q, anchors, SSP, noise) is SingularFim
+
+    def test_hand_built_result_has_no_condition_number(self):
+        f = np.eye(3)
+        res = FimResult(fim=f, crlb=f, trace_crlb=3.0, offdiag_residual=0.0)
+        assert math.isnan(res.condition_number)
+
+
+class TestConditionRule:
+    """fim's refusal is the batched screen's verdict, one rule for both."""
+
+    def test_refusal_is_the_screen_verdict(self):
+        # seeded symmetric PSD matrices with cond log-uniform over 1e9-1e14,
+        # a middle eigenvalue between, entry scales over 1e-8-1e8 and random
+        # orientations, plus non-finite and exactly singular matrices
+        rng = np.random.default_rng(67)
+        n = 3000
+        rot, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+        cond = 10.0 ** rng.uniform(9.0, 14.0, n)
+        mid = cond ** rng.uniform(0.0, 1.0, n)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        lam = scale[:, None] * np.stack([np.ones(n), 1.0 / mid, 1.0 / cond], axis=1)
+        m = np.einsum("bij,bj,bkj->bik", rot, lam, rot)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        special = np.array(
+            [
+                np.full((3, 3), np.nan),
+                np.diag([1.0, np.inf, 1.0]),
+                np.array([[1.0, -np.inf, 0.0], [-np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.zeros((3, 3)),
+                np.diag([3.0, 1.0, 0.0]),
+                np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+                np.eye(3),
+            ]
+        )
+        m = np.concatenate([m, special])
+        ill, cleared = _condition_screen(m)
+        refused = np.array([not _condition_number(x) <= CONDITION_LIMIT for x in m])
+        np.testing.assert_array_equal(refused, ill)
+        # most matrices take the eigenvalue solve, and the verdicts split
+        assert (~cleared).sum() > 2000
+        assert 500 < ill.sum() < n
+        assert ill[-7:].tolist() == [True] * 6 + [False]
+
+    def test_reported_number_is_the_compared_one(self):
+        rng = np.random.default_rng(71)
+        q, anchors = random_scene(rng)
+        res = fim(q, anchors, SSP, NOISE_1MS)
+        assert res.condition_number == _condition_number(res.fim)
 
 
 class TestDiagonalLowerBound:
