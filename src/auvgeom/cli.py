@@ -238,7 +238,7 @@ def _check_leaves(cfg: dict, assigned: set) -> None:
     for key, value in values.items():
         default = _LEAF_DEFAULTS[key]
         ok, expected = _NULLABLE[key] if default is None else _LEAF_TYPES[type(default)]
-        if not (default is None is value or ok(value)):
+        if not ((default is None and value is None) or ok(value)):
             raise ConfigError(f"config key {key!r} expects {expected}, got {value!r}")
     for key, ok, rule in _RANGES:
         if key in values and not ok(values[key]):
