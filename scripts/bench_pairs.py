@@ -15,7 +15,16 @@ first on even pairs and the change first on odd pairs.  The output
 records the machine (as the first run's ``env`` line gives it), every
 run's result line, and for each end-to-end metric of BENCHMARK.json the
 median and inclusive quartiles per side, the pairs the change won, the
-median's relative change and the parent's interquartile range.
+median's relative change, the parent's interquartile range and a
+verdict:
+
+- ``worse``: the change's median is worse than the parent's by more
+  than the metric's bound (a fraction of the parent's median);
+- ``unresolved``: the parent's interquartile range over its median
+  exceeds the bound, so the pairs cannot tell such a change from
+  spread, unless every run of the change beats every run of the parent;
+- ``within_bound`` otherwise.
+
 ``--traced SEED`` adds one ``--trace 1`` run per side and workload.
 
 Exits 1 when any run fails or reports correct: false; the file is
@@ -98,6 +107,18 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """worse, unresolved or within_bound; see the module docstring."""
+    sign = 1.0 if better == "higher" else -1.0
+    p = _quartiles(parent)
+    scale = bound * abs(p["median"])
+    if sign * (statistics.median(change) - p["median"]) < -scale:
+        return "worse"
+    if p["q3"] - p["q1"] > scale and min(sign * c for c in change) <= max(sign * x for x in parent):
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(runs: list[dict], specs: list[dict]) -> dict:
     """Per-metric statistics of one workload's pairs.
 
@@ -133,6 +154,7 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
             "median_change_frac": (stats["change"]["median"] - parent_median) / parent_median
             if parent_median else None,
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "verdict": verdict(vals["parent"], vals["change"], spec["better"], spec["bound"]),
         }
     return summary
 
@@ -169,6 +191,9 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: correct={ok(run)} "
                           f"ops_per_s={value.get('value')}", flush=True)
             report["workloads"][workload] = {**summarize(runs, specs), "runs": runs}
+            for name, m in report["workloads"][workload]["metrics"].items():
+                print(f"{workload} {name}: {m['verdict']}, median "
+                      f"{m['parent']['median']:.6g} -> {m['change']['median']:.6g}", flush=True)
             if args.traced is not None:
                 traced = {}
                 for side in SIDES:

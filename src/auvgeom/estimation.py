@@ -38,20 +38,25 @@ second comes after the line search: the accepted step is no longer
 than ``position_tolerance``, or the line search rejected every scale.
 
 A sample iterates at most ``max_iterations`` times, counted from when
-it enters the active set.  Without a window every sample enters at the
-start.  With ``window`` w, at most w samples are active at once: the
-first w enter at the start, and each iteration admits waiting samples
-in input order until w are active again.  A sample's trajectory depends
-only on its own inputs, so the window moves no output bit; it lets a
-caller put several Monte-Carlo cells through one call, whose long tails
-of a few slow samples then share one loop, while the per-iteration
-arrays stay one cell in size.  The kernel first sees a sample when it
-is admitted, so no array outgrows the window.
+it enters the active set.  The samples come in blocks, one per
+Monte-Carlo cell, and at most as many samples as the largest block
+holds are active at once: the window.  The first window's worth enter
+at the start, and each iteration admits waiting samples in order until
+the window is full again.  A sample's trajectory depends only on its
+own inputs, so the window moves no output bit; it lets a caller put
+several cells through one call, whose long tails of a few slow samples
+then share one loop, while the per-iteration arrays stay one cell in
+size.  The kernel first sees a sample when it is admitted, so no array
+outgrows the window.
 
-The cells of one call may differ in anchor count: each is a block of
-samples.  The active samples sit in window arrays padded to the widest
-count among them, ordered by count and then by input order, so each
-count is one contiguous run.  A padded slot repeats the sample's last
+The blocks of one call may differ in anchor count.  ``estimate_trials``
+runs them in order of anchor count, stably, and returns its outputs in
+the caller's order.  The active samples sit in window arrays padded to
+the widest count among them, ordered by count and then by admission, so
+each count is one contiguous run; with the blocks sorted, only the
+tails of the narrower blocks are ever padded.  A block's anchors are
+(N, 3) shared or one layout per sample; either way each admitted sample
+gets its own row of the window.  A padded slot repeats the sample's last
 anchor, so the kernel and the noise model see only pairs they already
 see.  Padding moves no output bit.  Padded rows enter the normal sums
 as exact zeros, set rather than multiplied because a pair may be NaN,
@@ -77,10 +82,7 @@ row in order, starting from zero, and the depth pseudo-row (0, 0, sw)
 adds its terms last (sw^2 to the zz entry, sw times the depth residual
 to the z entry, the squared depth residual to the cost).  That is the
 order of one summation over all N + 1 rows, so the result is the same
-to the bit without ever building the augmented matrix.  A lone block
-whose layout every sample shares stays one (N, 3) array throughout,
-with no padding: the kernel and the noise model broadcast it against
-the samples' points instead of copying it per sample.
+to the bit without ever building the augmented matrix.
 """
 
 from __future__ import annotations
@@ -303,11 +305,9 @@ def _pad(x: np.ndarray, width: int) -> np.ndarray:
     return x if n == width else x[:, np.minimum(np.arange(width), n - 1)]
 
 
-def _admit(
-    blocks: list[_Block], starts: np.ndarray, lo: int, hi: int, width: int, anchors: bool
-) -> dict[str, np.ndarray]:
-    """Window arrays of samples lo..hi-1: their indices, anchor counts and
-    travel times, then their anchors when ``anchors`` is true.
+def _admit(blocks: list[_Block], starts: np.ndarray, lo: int, hi: int, width: int) -> dict:
+    """Window arrays of samples lo..hi-1: their indices, anchor counts,
+    travel times and anchors.
 
     Each sample's travel times and anchors are padded to width columns
     with copies of its last anchor's, so every padded pair is one that
@@ -318,14 +318,12 @@ def _admit(
         a, b = max(lo - s, 0), min(hi - s, len(r))
         if a < b:
             parts.append((r[a:b], np.broadcast_to(p, (len(r), *p.shape[-2:]))[a:b]))
-    new = {
+    return {
         "ids": np.arange(lo, hi),
         "counts": np.concatenate([np.full(len(r), r.shape[1]) for r, _ in parts]),
         "rtt": np.concatenate([_pad(r, width) for r, _ in parts]),
+        "p": np.concatenate([_pad(p, width) for _, p in parts]),
     }
-    if anchors:
-        new["p"] = np.concatenate([_pad(p, width) for _, p in parts])
-    return new
 
 
 def _estimate_batch(
@@ -336,20 +334,19 @@ def _estimate_batch(
     noise: NoiseModel,
     config: EstimatorConfig,
     q0: np.ndarray,
-    *,
-    window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every sample's Gauss-Newton iteration in lockstep from q0.
 
     rtt, depth and anchors are one block of samples or lists of blocks,
     as ``estimate_trials`` takes them, and ``q0`` the (batch, 3) starting
     points of every block's samples in order.  Returns (q, iterations,
-    converged, singular).  A sample leaves the active set at one of the
-    two exits the module docstring names, or after
+    converged, singular), in the same order.  A sample leaves the active
+    set at one of the two exits the module docstring names, or after
     ``config.max_iterations`` iterations of its own; finished samples are
-    frozen while the rest continue.  At most ``window`` samples (None:
-    all of them) are active at once, the rest admitted in input order as
-    others leave.
+    frozen while the rest continue.  At most the largest block's worth of
+    samples are active at once, the rest admitted in order as others
+    leave.  Blocks given in order of anchor count pad only the narrower
+    blocks' tails.
 
     The active samples' travel times, anchors, and the travel times and
     Jacobian rows at their current points are kept in window arrays
@@ -362,8 +359,7 @@ def _estimate_batch(
     starts = np.cumsum([0] + [len(r) for r, _, _ in blocks])
     batch = int(starts[-1])
     widest = max(r.shape[1] for r, _, _ in blocks)
-    # a lone block's (N, 3) layout is never copied per sample
-    layout = blocks[0][2] if len(blocks) == 1 and blocks[0][2].ndim == 2 else None
+    window = max(len(r) for r, _, _ in blocks)
     depth = np.concatenate([d for _, d, _ in blocks])
     max_step = np.concatenate([
         np.broadcast_to(
@@ -382,9 +378,8 @@ def _estimate_batch(
     singular = np.zeros(batch, dtype=bool)
     gamma = np.ones(batch)
     prev_step = np.zeros((batch, 3))
-    window = batch if window is None else window
     admitted = 0
-    # the active samples, by anchor count and then in input order: their
+    # the active samples, by anchor count and then by admission: their
     # indices and counts, then their travel times, the anchors, and the
     # kernel's travel times and rows at their points, padded to widest
     win = {
@@ -393,20 +388,17 @@ def _estimate_batch(
         "rtt": np.empty((0, widest)),
         "t": np.empty((0, widest)),
         "rows": np.empty((0, widest, 3)),
+        "p": np.empty((0, widest, 3)),
     }
-    if layout is None:
-        win["p"] = np.empty((0, widest, 3))
 
     while True:
-        # refill the active set up to the window, in input order, and
+        # refill the active set up to the window, in the given order, and
         # keep it ordered by anchor count, so that each count is one run
         fill = min(window - len(win["ids"]), batch - admitted)
         if fill:
-            new = _admit(blocks, starts, admitted, admitted + fill, widest, layout is None)
+            new = _admit(blocks, starts, admitted, admitted + fill, widest)
             w = new["counts"].max()
-            t_new, rows_new = _time_and_rows(
-                q[admitted : admitted + fill], new["p"][:, :w] if layout is None else layout, ssp
-            )
+            t_new, rows_new = _time_and_rows(q[admitted : admitted + fill], new["p"][:, :w], ssp)
             new["t"], new["rows"] = _pad(t_new, widest), _pad(rows_new, widest)
             win = {k: np.concatenate((v, new[k])) for k, v in win.items()}
             admitted += fill
@@ -418,7 +410,7 @@ def _estimate_batch(
             break
         width = counts[-1]
         qa = q[ids]
-        sigma2 = _sigma2(qa, win["p"][:, :width] if layout is None else layout, noise)
+        sigma2 = _sigma2(qa, win["p"][:, :width], noise)
         acc, cur_sse = _normal_sums(
             win["rows"][:, :width], win["t"][:, :width], win["rtt"][:, :width], depth[ids], qa,
             sigma2, sw, _runs(counts),
@@ -466,8 +458,7 @@ def _estimate_batch(
             n_at = counts[at]
             w = n_at[-1]
             cand = base[rest, None] + scales[:, None] * delta[rest, None]
-            p_c = win["p"][at, None, :w] if layout is None else layout
-            t_c, rows_c = _time_and_rows(cand, p_c, ssp)
+            t_c, rows_c = _time_and_rows(cand, win["p"][at, None, :w], ssp)
             rs = sub[rest]
             ok = _weighted_sse(
                 t_c, cand, win["rtt"][at, None, :w], depth[rs, None], frozen_s2[rest, None, :w],
@@ -504,36 +495,37 @@ def estimate_trials(
     ssp: SoundSpeedProfile,
     noise: NoiseModel,
     config: EstimatorConfig | None = None,
-    *,
-    window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array-in, array-out batch solve for Monte-Carlo harnesses.
 
     One block of trials is rtt (trials, N), depth (trials,) and
     anchor_stack (N, 3) shared or (trials, N, 3) per trial.  Several
     blocks, each with its own N, go through one call as three
-    equal-length lists.  Returns (q_hat, iterations, converged, singular)
-    over every block's trials in order; singular trials are non-converged
-    rather than raised.  window, when given, caps how many trials iterate
-    at once; it bounds the working memory of a long batch and moves no
-    output bit.
+    equal-length lists; they run in order of N and at most the largest
+    block's worth of trials iterates at once.  Returns (q_hat,
+    iterations, converged, singular) over every block's trials in the
+    order given; singular trials are non-converged rather than raised.
     """
     blocks = _blocks(rtt, depth, anchor_stack)
-    for r, _, p in blocks:
+    for r, d, p in blocks:
         batch, n = r.shape
         if n < 4:
             raise TooFewAnchors(f"need at least 4 anchors, got {n}")
         if p.shape not in ((n, 3), (batch, n, 3)):
             raise ValueError("anchor stack shape does not match the samples")
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
-    q0 = np.empty((sum(len(r) for r, _, _ in blocks), 3))
-    end = 0
-    for r, d, p in blocks:
-        start, end = end, end + len(r)
-        q0[start:end, :2] = p[..., :2].mean(axis=-2)
-        q0[start:end, 2] = d
+        if d.shape != (batch,):
+            raise ValueError("depth shape does not match the samples")
+    # the blocks by anchor count, stably, and the input index of each of
+    # their samples in that order
+    counts = np.concatenate([np.full(len(r), r.shape[1]) for r, _, _ in blocks])
+    ids = np.argsort(counts, kind="stable")
+    blocks = sorted(blocks, key=lambda b: b[0].shape[1])
+    q0 = np.concatenate([
+        np.column_stack((np.broadcast_to(p[..., :2].mean(axis=-2), (len(r), 2)), d))
+        for r, d, p in blocks
+    ])
     q, iters, conv, singular = _estimate_batch(
-        rtt, depth, anchor_stack, ssp, noise, config or EstimatorConfig(), q0, window=window
+        *(list(x) for x in zip(*blocks)), ssp, noise, config or EstimatorConfig(), q0
     )
-    return q, iters, conv & ~singular, singular
+    back = np.argsort(ids)
+    return q[back], iters[back], (conv & ~singular)[back], singular[back]

@@ -70,3 +70,45 @@ def test_incorrect_run_leaves_its_pair_out():
     assert got["attempted"] == {"parent": 200, "change": 200}
     assert got["metrics"]["ops_per_s"]["change"]["runs_by_seed"] == [200.0]
     assert not script.ok({"error": "exit 1: boom"})
+
+
+def verdicts(table):
+    # (seed, parent ops_per_s, change ops_per_s) rows, setup_s held at 0.2
+    canned = runs([(k, side, ops, 0.2) for k, p, c in table
+                   for side, ops in (("parent", p), ("change", c))])
+    got = load_script().summarize(canned, SPECS)["metrics"]
+    return got["ops_per_s"]["verdict"], got["setup_s"]["verdict"]
+
+
+def test_verdict_worse():
+    # the change's median 70 is 30% below the parent's 100, past the 0.25 bound
+    assert verdicts([(1, 99.0, 70.0), (2, 100.0, 69.0), (3, 101.0, 71.0)]) == (
+        "worse", "within_bound")
+
+
+def test_verdict_unresolved():
+    # the parent's IQR, 40 - 30 over a median of 35 (0.29), exceeds the
+    # bound, and one change run (31) loses to parent runs 40 and 50
+    assert verdicts([(1, 20.0, 31.0), (2, 30.0, 36.0), (3, 35.0, 37.0),
+                     (4, 40.0, 38.0), (5, 50.0, 39.0)])[0] == "unresolved"
+
+
+def test_verdict_wide_parent_but_every_change_run_wins():
+    # the same parent spread, but every change run beats every parent run
+    assert verdicts([(1, 20.0, 51.0), (2, 30.0, 52.0), (3, 35.0, 53.0),
+                     (4, 40.0, 54.0), (5, 50.0, 55.0)])[0] == "within_bound"
+
+
+def test_verdict_within_bound():
+    # 10% worse, inside the bound, with a tight parent
+    assert verdicts([(1, 99.0, 90.0), (2, 100.0, 89.0), (3, 101.0, 91.0)]) == (
+        "within_bound", "within_bound")
+
+
+def test_verdict_lower_is_better():
+    # setup_s: 0.26 s against 0.20 s is 30% worse; a wide parent is
+    # unresolved unless the change is faster on every run
+    script = load_script()
+    assert script.verdict([0.20, 0.20, 0.20], [0.26, 0.26, 0.26], "lower", 0.25) == "worse"
+    assert script.verdict([0.1, 0.2, 0.3], [0.2, 0.2, 0.2], "lower", 0.25) == "unresolved"
+    assert script.verdict([0.1, 0.2, 0.3], [0.05, 0.06, 0.07], "lower", 0.25) == "within_bound"

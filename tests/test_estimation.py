@@ -420,11 +420,11 @@ def recorded_inputs(spec, cells):
     calls = []
     original = harness.estimate_trials
 
-    def record(rtt, depth, anchors, ssp, noise, config, window):
+    def record(rtt, depth, anchors, ssp, noise, config):
         # one cell per task: each call holds exactly one block
         [r], [d], [p] = rtt, depth, anchors
         calls.append((r, d, p, ssp, noise, config))
-        return original(rtt, depth, anchors, ssp, noise, config, window=window)
+        return original(rtt, depth, anchors, ssp, noise, config)
 
     harness.estimate_trials = record
     try:
@@ -528,7 +528,7 @@ class TestStartPoint:
 
 
 class TestSharedLayout:
-    """One (N, 3) layout shared by every sample, never copied per sample.
+    """One (N, 3) layout shared by every sample.
 
     It must give exactly what its materialized (batch, N, 3) copy gives,
     through _estimate_batch and through estimate_trials, which takes any
@@ -549,19 +549,6 @@ class TestSharedLayout:
         for name, s, c in zip(names, through_entry, estimate_trials(rtt, depth, stack, SSP, noise)):
             np.testing.assert_array_equal(s, c, err_msg=name)
         return shared
-
-    def test_layout_reaches_the_kernel_uncopied(self, monkeypatch):
-        # a lone block's layout is neither padded nor copied per sample
-        seen = []
-        kernel = estimation._time_and_rows
-        monkeypatch.setattr(
-            estimation, "_time_and_rows", lambda q, p, ssp: seen.append(p) or kernel(q, p, ssp)
-        )
-        noise = NoiseModel.distance_dependent()
-        rtt, depth = measure(USC8, noise, 40, seed=4)
-        layout = np.array([p.as_array() for p in USC8])
-        estimate_trials(rtt, depth, layout, SSP, noise, window=16)
-        assert len(seen) > 3 and all(p is layout for p in seen)
 
     def test_cube_batch_with_distance_weights(self):
         cube = cube_positions(Position(50.0, 50.0, 25.0), 100.0, 8)
@@ -586,11 +573,15 @@ class TestSharedLayout:
 
 
 class TestWindow:
-    """Several cells through one estimate_trials call with a window.
+    """Several cells through one estimate_trials call.
 
     Each cell's slice of the output is what the cell's own call returns,
-    bit for bit, whatever the cells' anchor counts: the shape of the
-    Monte-Carlo harness's grouped cells.  numpy sums fewer than 8 terms in
+    bit for bit, whatever the cells' anchor counts and order: the shape
+    of the Monte-Carlo harness's grouped cells.  At most the largest
+    block's worth of trials iterates at once, so cells cut into blocks of
+    at most size trials run through a window of that size; a size at or
+    above the largest cell (60, 2000, None) leaves every cell one block,
+    as the harness passes them.  numpy sums fewer than 8 terms in
     order and 8 or more pairwise, so cells of 7 and 8 anchors sit on
     either side of the rounding that padding could move.
     """
@@ -626,22 +617,29 @@ class TestWindow:
         ]
 
     @staticmethod
-    def merged(cells):
-        """The cells as estimate_trials' three lists of blocks."""
-        return tuple(list(part) for part in zip(*cells))
+    def merged(cells, size=None):
+        """The cells as estimate_trials' three lists of blocks, each cell
+        cut into blocks of at most size trials (None: one block each)."""
+        blocks = []
+        for rtt, depth, p in cells:
+            step = size or max(len(rtt), 1)
+            for a in range(0, len(rtt), step):
+                b = a + step
+                blocks.append((rtt[a:b], depth[a:b], p if p.ndim == 2 else p[a:b]))
+        return tuple(list(part) for part in zip(*blocks))
 
-    def check_merged(self, cells, ssp, noise, config, window):
+    def check_merged(self, cells, ssp, noise, config, size):
         """The merged call's output, checked against each cell's own call."""
         alone = [estimate_trials(rtt, depth, p, ssp, noise, config) for rtt, depth, p in cells]
-        got = estimate_trials(*self.merged(cells), ssp, noise, config, window=window)
+        got = estimate_trials(*self.merged(cells, size), ssp, noise, config)
         for name, g, parts in zip(self.NAMES, got, zip(*alone)):
             np.testing.assert_array_equal(g, np.concatenate(parts), err_msg=name)
         return got
 
-    def check_cells(self, noise, window, max_iterations):
+    def check_cells(self, noise, size, max_iterations):
         config = EstimatorConfig(max_iterations=max_iterations)
         _, iterations, converged, singular = self.check_merged(
-            self.cells(noise), SSP, noise, config, window
+            self.cells(noise), SSP, noise, config, size
         )
         # the plane cell is singular throughout; the others converge, and
         # at a cap of 4 some of their trials stop there
@@ -651,27 +649,57 @@ class TestWindow:
         assert converged[~plane].any()
         assert (iterations[~plane] == max_iterations).any() == (max_iterations == 4)
 
-    @pytest.mark.parametrize("window", [7, 60, None])
+    @pytest.mark.parametrize("size", [7, 60, None])
     @pytest.mark.parametrize("max_iterations", [4, 100])
-    def test_concatenated_cells_match_their_own_calls(self, window, max_iterations):
-        self.check_cells(NoiseModel.distance_dependent(), window, max_iterations)
+    def test_concatenated_cells_match_their_own_calls(self, size, max_iterations):
+        self.check_cells(NoiseModel.distance_dependent(), size, max_iterations)
 
-    @pytest.mark.parametrize("window", [7, 2000, None])
+    @pytest.mark.parametrize("size", [7, 2000, None])
     @pytest.mark.parametrize("max_iterations", [4, 100])
-    def test_constant_noise_cells_match_their_own_calls(self, window, max_iterations):
-        self.check_cells(NOISE_1MS, window, max_iterations)
+    def test_constant_noise_cells_match_their_own_calls(self, size, max_iterations):
+        self.check_cells(NOISE_1MS, size, max_iterations)
 
     @pytest.mark.parametrize("maker", [harness.fig4a_spec, harness.fig4b_spec])
-    @pytest.mark.parametrize("window, max_iterations", [(7, 4), (2000, 100), (None, 100)])
-    def test_recorded_figure_cells(self, maker, window, max_iterations):
+    @pytest.mark.parametrize("size, max_iterations", [(7, 4), (2000, 100), (None, 100)])
+    def test_recorded_figure_cells(self, maker, size, max_iterations):
         # every seed-0 cell of the figure, usc and cube sharing a layout
         # and random drawing one per trial, at every anchor count 4 to 8;
-        # 2000 is the production window, here below the 2250 trials
+        # at 2000 or None each cell of 150 trials is one block
         inputs = figure_inputs(maker)
         assert sorted({rtt.shape[1] for rtt, *_ in inputs}) == [4, 5, 6, 7, 8]
         _, _, _, ssp, noise, _ = inputs[0]
         config = EstimatorConfig(max_iterations=max_iterations)
-        self.check_merged([args[:3] for args in inputs], ssp, noise, config, window)
+        self.check_merged([args[:3] for args in inputs], ssp, noise, config, size)
+
+    def test_blocks_run_in_anchor_count_order(self, monkeypatch):
+        # fig4a's cells in row order (usc, cube, random, each n = 4..8)
+        # cost the kernel as many pairs as in anchor-count order, because
+        # the estimator sorts them; unsorted, the window pads far more
+        inputs = figure_inputs(harness.fig4a_spec)
+        _, _, _, ssp, noise, config = inputs[0]
+        by_count = sorted(inputs, key=lambda args: args[0].shape[1])
+        pairs = []
+        kernel = estimation._time_and_rows
+
+        def counted(q, p, ssp):
+            t, rows = kernel(q, p, ssp)
+            pairs[-1] += t.size
+            return t, rows
+
+        monkeypatch.setattr(estimation, "_time_and_rows", counted)
+
+        def count(solve, cells, *args):
+            pairs.append(0)
+            solve(*self.merged([c[:3] for c in cells]), ssp, noise, config, *args)
+            return pairs[-1]
+
+        row_order = count(estimate_trials, inputs)
+        assert row_order == count(estimate_trials, by_count)
+        q0 = np.concatenate([
+            depth_anchored_start(d, np.broadcast_to(p, (len(r), *p.shape[-2:])))
+            for r, d, p, *_ in inputs
+        ])
+        assert count(_estimate_batch, inputs, q0) > 1.1 * row_order
 
     def test_active_set_never_exceeds_the_window(self, monkeypatch):
         noise = NoiseModel.distance_dependent()
@@ -682,7 +710,7 @@ class TestWindow:
         monkeypatch.setattr(
             estimation, "_sigma2", lambda q, p, nm: sizes.append(len(q)) or sigma2(q, p, nm)
         )
-        _, iterations, _, singular = estimate_trials(*self.merged(cells), SSP, noise, window=16)
+        _, iterations, _, singular = estimate_trials(*self.merged(cells, 16), SSP, noise)
         assert max(sizes) == 16 and sizes[-1] < 16
         # every sample was admitted: each iterated or was found singular
         assert ((iterations > 0) | singular).all()
@@ -702,20 +730,27 @@ class TestWindow:
             return t, rows
 
         monkeypatch.setattr(estimation, "_time_and_rows", counted)
-        estimate_trials(*self.merged(self.cells(noise)), SSP, noise, window=16)
+        estimate_trials(*self.merged(self.cells(noise), 16), SSP, noise)
         assert max(pairs) <= 16 * 8 * max(map(len, estimation._STEP_SCALES))
         assert sum(pairs) > 200 * 8
-
-    def test_window_must_be_positive(self):
-        rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)
-        with pytest.raises(ValueError, match="window"):
-            estimate_trials(rtt, depth, as_stack(USC8, 3), SSP, NOISE_1MS, window=0)
 
     def test_blocks_must_come_in_equal_lists(self):
         rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)
         layout = np.array([p.as_array() for p in USC8])
         with pytest.raises(ValueError):
             estimate_trials([rtt, rtt], [depth], [layout, layout], SSP, NOISE_1MS)
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (10, 1)])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_depth_must_match_the_trials(self, shape, as_list):
+        # ten trials of a shared usc layout; as a list, the bad block
+        # follows a good one
+        rtt, depth = measure(USC8, NOISE_1MS, 10, seed=0)
+        layout = np.array([p.as_array() for p in USC8])
+        bad = np.resize(depth, shape)
+        args = ([rtt, rtt], [depth, bad], [layout, layout]) if as_list else (rtt, bad, layout)
+        with pytest.raises(ValueError, match="depth shape"):
+            estimate_trials(*args, SSP, NOISE_1MS)
 
 
 class TestConditionScreen:

@@ -304,8 +304,9 @@ class TestTaskGroups:
         original = harness.estimate_trials
 
         def count(rtt, *args, **kwargs):
-            # trials over every block of the call, and its window
-            calls.append((sum(map(len, rtt)), kwargs["window"]))
+            # trials over every block of the call, and its largest block,
+            # which is how many trials iterate at once
+            calls.append((sum(map(len, rtt)), max(map(len, rtt))))
             return original(rtt, *args, **kwargs)
 
         monkeypatch.setattr(harness, "estimate_trials", count)
