@@ -247,14 +247,15 @@ def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float, int]:
     return list(dep.anchors), float("nan"), len(dep.anchors)
 
 
-def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
+def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray, trials: int) -> float:
     """Mean over trials of tr((F_tof + depth info)^-1), NaN-tolerant.
 
-    rows and sigma2 are the per-trial Jacobian rows (trials, N, 3) and
-    timing variances (trials, N) at the true positions.  A trial whose
-    matrix is not finite, or is exactly singular (an infinite variance
-    leaves only the depth row), has no bound and is left out; a cell with
-    none left reads NaN.
+    rows and sigma2 are the Jacobian rows (G, N, 3) and timing variances
+    (G, N) at the true positions, one geometry per trial (G = trials) or
+    one that every trial shares (G = 1), whose trace then counts trials
+    times.  A trial whose matrix is not finite, or is exactly singular
+    (an infinite variance leaves only the depth row), has no bound and is
+    left out; a cell with none left reads NaN.
     """
     f = np.einsum("tni,tnj->tij", rows / sigma2[..., None], rows)
     f[:, 2, 2] += 1.0 / DEPTH_NOISE_VAR
@@ -269,6 +270,7 @@ def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
                     traces[i] = np.trace(np.linalg.inv(f[i]))
                 except np.linalg.LinAlgError:
                     pass
+    traces = np.broadcast_to(traces, trials)
     return float(np.nanmean(traces)) if not np.isnan(traces).all() else math.nan
 
 
@@ -290,10 +292,13 @@ def _measurements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noisy travel times and depth readings from standard-normal deviates.
 
-    truth is (trials, 3), anchor_stack (N, 3) shared or (trials, N, 3),
-    and dev (trials, N + 1), with the depth deviate in the last column.
-    Returns (rtt, depth, rows, sigma2): the measurements, then the Jacobian
-    rows and timing variances at the true positions, which the bound reuses.
+    truth is (trials, 3), or (1, 3) when the AUV does not move,
+    anchor_stack (N, 3) shared or (trials, N, 3), and dev (trials, N + 1),
+    with the depth deviate in the last column.  Returns (rtt, depth, rows,
+    sigma2): the measurements, then the Jacobian rows and timing variances
+    at the true positions, which the bound reuses.  The last two hold one
+    geometry per trial, or one alone when truth and anchors are both
+    shared.
     """
     n = anchor_stack.shape[-2]
     t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
@@ -304,8 +309,9 @@ def _measurements(
 
 
 class _Cell(NamedTuple):
-    """What a cell's row needs besides its estimates: the true positions
-    and the bound averaged over them."""
+    """What a cell's row needs besides its estimates: the true positions,
+    (trials, 3) or one (1, 3) row when the AUV does not move, and the
+    bound averaged over them."""
 
     truth: np.ndarray
     trace: float
@@ -324,15 +330,18 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
     the timing deviates with the depth deviate in the last column.  Travel
     times, noise levels and the bound's rows come from one batched kernel
     call; the bound is taken here, so the rows are freed before any
-    estimation.  Returns the cell and its estimator inputs: the anchor
-    stack, the travel times and the depth readings.
+    estimation.  An AUV that does not move is one (1, 3) truth row, so a
+    cell whose trials also share one layout evaluates that one geometry
+    once and broadcasts it over its trials.  Returns the cell and its
+    estimator inputs: the anchor stack, the travel times and the depth
+    readings.
     """
     anchors0, k_used, n = _fixed_layout(s)
     move = s.movement
-    truth = np.tile(s.auv_truth.as_array(), (s.trials, 1))
+    truth = s.auv_truth.as_array()[None]
     if isinstance(move, (RmUsc, RsUsc)):
         v = _cell_rng(s, _MOVE_STREAM).standard_normal((s.trials, 3))
-        truth += move.delta_meters * (v / np.linalg.norm(v, axis=1, keepdims=True))
+        truth = truth + move.delta_meters * (v / np.linalg.norm(v, axis=1, keepdims=True))
         truth[:, 2] = np.maximum(truth[:, 2], 1.0)
     if anchors0 is None:
         box = s.deployment.box if s.deployment.box is not None else default_box_for(s.auv_truth)
@@ -348,7 +357,8 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
-    return _Cell(truth, _augmented_trace(rows, sigma2), k_used, n), anchor_stack, rtt, depth_meas
+    trace = _augmented_trace(rows, sigma2, s.trials)
+    return _Cell(truth, trace, k_used, n), anchor_stack, rtt, depth_meas
 
 
 def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
@@ -379,13 +389,13 @@ def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
     )
     end = 0
     for i in inputs:
-        cell = out[i]
-        start, end = end, end + len(cell.truth)
+        cell, trials = out[i], cells[i].trials
+        start, end = end, end + trials
         conv = converged[start:end]
         if not conv.any():
-            out[i] = NoConvergedTrials(f"all {len(cell.truth)} trials failed to converge")
+            out[i] = NoConvergedTrials(f"all {trials} trials failed to converge")
             continue
-        err2 = np.sum((q_hat[start:end][conv] - cell.truth[conv]) ** 2, axis=1)
+        err2 = np.sum((q_hat[start:end] - cell.truth)[conv] ** 2, axis=1)
         rmse_val = float(np.sqrt(err2.mean()))
         out[i] = (rmse_val, cell.trace, int((~conv).sum()), cell.k_used, cell.n)
     return out
