@@ -7,16 +7,19 @@ angles fix it:
     theta = arctan((z_q - z_p) / d)          chord elevation
     alpha = arctan(d / (2b/a + z_q + z_p))   ray deviation from the chord
 
-The travel time is
+The travel time is t = (1/a) [asinh(tan(theta + alpha)) -
+asinh(tan(theta - alpha))], and its gradient with respect to the AUV is
+(2 sin(alpha) / (a r)) (cos(phi), sin(phi), tan(theta - alpha)).  With
+dz = z_q - z_p, A = 2b/a + z_q + z_p, P = 2b/a + 2 z_p, Q = 2b/a + 2 z_q
+and rho = sqrt(d^2 + A^2), the angle sums are exactly
 
-    t = (1/a) * [F(theta + alpha) - F(theta - alpha)],
-    F(x) = ln((1 + sin x) / cos x) = asinh(tan x),
+    r rho cos(theta + alpha) = d P,     r rho cos(theta - alpha) = d Q,
+    r rho sin(theta +/- alpha) = dz A +/- d^2,
 
-evaluated in the asinh form, which does not cancel catastrophically for
-small angles and makes the endpoint swap theta -> -theta exact in
-floating point.  Its gradient with respect to the AUV coordinates is
-
-    (2 sin(alpha) / (a r)) * (cos(phi), sin(phi), tan(theta - alpha)).
+so the kernel takes no angle: tan(theta +/- alpha) = (dz A +/- d^2) /
+(d P or d Q), and the gradient is 2 (dx, dy, (dz A - d^2) / Q) / (a r rho),
+two square roots and two ``asinh`` per pair that keep, near the
+vertical, the digits an arctan / tan round trip loses.
 
 The measurement vector stacks one travel time per anchor.  With
 independent zero-mean Gaussian timing errors of variance sigma_i^2 the
@@ -132,55 +135,49 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
 
     q_xyz broadcasts as (..., 3) and p_xyz as (..., N, 3); returns
     (t, rows) with shapes (..., N) and (..., N, 3).  Entries are NaN
-    wherever the pair is vertical, grazing, or has |cos^2(theta) -
-    sin^2(alpha)| < 1e-12, so the caller can treat invalid geometry as
-    an infinite-cost region.  That difference is evaluated as its
-    product form cos(theta + alpha) * cos(theta - alpha), from the two
-    cosines the grazing test takes, and only on pairs with
-    |theta| + alpha > 1.5: everywhere else both cosines exceed 0.07.
+    wherever the pair is vertical, grazing (either cosine of the module
+    docstring at most 1e-12), or has |cos^2(theta) - sin^2(alpha)| < 1e-12,
+    so the caller can treat invalid geometry as an infinite-cost region.
+    Every pair is tested: neither cosine exceeds 1, so the last two tests
+    come to P > 0 and d^2 P Q >= 1e-12 (r rho)^2, and P is clamped at 0.
     """
     b = ssp.surface_speed_b
     a = ssp.steepness_a
+    c = 2.0 * b / a
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         dx = q_xyz[..., None, 0] - p_xyz[..., 0]
         dy = q_xyz[..., None, 1] - p_xyz[..., 1]
         zq = q_xyz[..., None, 2]
         zp = p_xyz[..., 2]
-        d = np.hypot(dx, dy)
+        # P and Q have one endpoint's shape each, often far smaller than the batch
+        big_p = np.maximum(c + 2.0 * zp, 0.0)
+        big_q = c + 2.0 * zq
+        d2 = dx * dx + dy * dy
+        d = np.sqrt(d2)
         dz = zq - zp
-        r = np.hypot(d, dz)
-        axial = 2.0 * b / a + zq + zp
-        # each intermediate is written over one that is no longer needed:
-        # fewer and smaller temporaries make the large batches cheaper
-        theta = np.arctan2(dz, d, out=dz)
-        alpha = np.arctan2(d, axial, out=axial)
-        hi = theta + alpha
-        bad = d <= COINCIDENT_TOL
-        # alpha >= 0, so |theta| + alpha is the larger of |hi| and |lo|
-        steep = np.abs(theta) + alpha > 1.5
-        lo = np.subtract(theta, alpha, out=theta)
-        if steep.any():
-            cos_hi = np.cos(hi[steep])
-            cos_lo = np.cos(lo[steep])
-            bad[steep] |= (
-                (cos_hi <= 1e-12)
-                | (cos_lo <= 1e-12)
-                | (np.abs(cos_hi * cos_lo) < DEGENERACY_TOL)
-            )
-        tan_lo = np.tan(lo, out=lo)
-        t = np.arcsinh(np.tan(hi, out=hi), out=hi)
-        t -= np.arcsinh(tan_lo)
+        axial = c + zq + zp
+        rr2 = (axial * axial + d2) * (dz * dz + d2)  # (r rho)^2
+        ok = d2 * (big_p * big_q) >= DEGENERACY_TOL * rr2
+        ok &= d > COINCIDENT_TOL
+        # r rho sin(theta -/+ alpha) = dz A -/+ d^2; over d Q and d P they
+        # are the two tangents, and (dz A - d^2) / Q is d tan(theta - alpha);
+        # each is written over an intermediate that is no longer needed
+        lo = np.multiply(dz, axial, out=dz)
+        hi = np.add(lo, d2, out=axial)
+        lo -= d2
+        lo /= big_q
+        hi /= big_p
+        t = np.arcsinh(np.divide(hi, d, out=hi), out=hi)
+        t -= np.arcsinh(np.divide(lo, d, out=d))
         t /= a
-        scale = np.sin(alpha, out=alpha)
-        scale *= 2.0
-        scale /= a * r
+        scale = np.divide(2.0 / a, np.sqrt(rr2, out=rr2), out=rr2)
         rows = np.empty(t.shape + (3,))
-        np.divide(np.multiply(scale, dx, out=dx), d, out=rows[..., 0])
-        np.divide(np.multiply(scale, dy, out=dy), d, out=rows[..., 1])
-        np.multiply(scale, tan_lo, out=rows[..., 2])
-        if bad.any():
-            t[bad] = np.nan
-            rows[bad] = np.nan
+        np.multiply(scale, dx, out=rows[..., 0])
+        np.multiply(scale, dy, out=rows[..., 1])
+        np.multiply(scale, lo, out=rows[..., 2])
+        if not ok.all():
+            t[~ok] = np.nan
+            rows[~ok] = np.nan
     return t, rows
 
 

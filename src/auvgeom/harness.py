@@ -6,7 +6,7 @@ model, and a trial budget under a master seed.  Sweeps vary one axis
 over a list of values for one or more named schemes and produce a flat
 result table that exports to CSV and SVG.
 
-Reproducibility contract 3: a cell (one scheme at one axis value) runs
+Reproducibility contract 4: a cell (one scheme at one axis value) runs
 whole in one task and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
@@ -15,14 +15,15 @@ same deviates.  A task is one cell, or a group of cells that share a
 sound-speed profile and noise model and whose trials go through one
 estimator call whatever their anchor counts (see ``_task_groups``); the
 Gauss-Newton trajectories of different trials are independent, so
-grouping moves no byte.  Contract 3 draws the streams of contract 2;
-its rows differ because the estimator stops on the Newton decrement and
-solves its normal equations from cofactors.  Contract 1 seeded each
-trial on its own.
+grouping moves no byte.  Contracts 2 to 4 draw the same streams; rows
+moved at 3 with the estimator's Newton-decrement stop and at 4, by about
+1e-9, with the rational ray kernel.  Contract 1 seeded each trial alone.
 Rows from Monte-Carlo runs report the depth-augmented CRLB trace
 averaged over the per-trial geometry, matching what the estimator (which
-also uses the depth sensor) can attain.  Radius-scale sweep rows skip
-the Monte-Carlo part and carry the closed-form timing-only trace.
+also uses the depth sensor) can attain; a cell with a static AUV and
+one shared layout evaluates its one geometry once.  Radius-scale sweep
+rows skip the Monte-Carlo part and carry the closed-form timing-only
+trace.
 
 Row is the CSV schema: the header, each row line and load_csv's parse
 follow its fields in order, bar the note, which a failed cell carries in
@@ -211,7 +212,7 @@ class ResultTable:
 _TYPES = {"str": str, "int": int, "float": float}
 _COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(Row) if f.name != "note")
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-CSV_CONTRACT = "# contract 3"  # contract the rows were drawn under; files without it are 1
+CSV_CONTRACT = "# contract 4"  # contract the rows were drawn under; files without it are 1
 _NOTE = "# note: "  # prefix of the line that carries a row's note
 
 
@@ -247,14 +248,13 @@ def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float, int]:
     return list(dep.anchors), float("nan"), len(dep.anchors)
 
 
-def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray, trials: int) -> float:
-    """Mean over trials of tr((F_tof + depth info)^-1), NaN-tolerant.
+def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
+    """Mean over geometries of tr((F_tof + depth info)^-1), NaN-tolerant.
 
     rows and sigma2 are the Jacobian rows (G, N, 3) and timing variances
-    (G, N) at the true positions, one geometry per trial (G = trials) or
-    one that every trial shares (G = 1), whose trace then counts trials
-    times.  A trial whose matrix is not finite, or is exactly singular
-    (an infinite variance leaves only the depth row), has no bound and is
+    (G, N) at the G distinct true geometries, one per trial or one in all.
+    A geometry whose matrix is not finite, or is exactly singular (an
+    infinite variance leaves only the depth row), has no bound and is
     left out; a cell with none left reads NaN.
     """
     f = np.einsum("tni,tnj->tij", rows / sigma2[..., None], rows)
@@ -270,7 +270,6 @@ def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray, trials: int) -> float
                     traces[i] = np.trace(np.linalg.inv(f[i]))
                 except np.linalg.LinAlgError:
                     pass
-    traces = np.broadcast_to(traces, trials)
     return float(np.nanmean(traces)) if not np.isnan(traces).all() else math.nan
 
 
@@ -292,13 +291,10 @@ def _measurements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Noisy travel times and depth readings from standard-normal deviates.
 
-    truth is (trials, 3), or (1, 3) when the AUV does not move,
-    anchor_stack (N, 3) shared or (trials, N, 3), and dev (trials, N + 1),
-    with the depth deviate in the last column.  Returns (rtt, depth, rows,
-    sigma2): the measurements, then the Jacobian rows and timing variances
-    at the true positions, which the bound reuses.  The last two hold one
-    geometry per trial, or one alone when truth and anchors are both
-    shared.
+    truth is (trials, 3) or (1, 3), anchor_stack (N, 3) or (trials, N, 3),
+    and dev (trials, N + 1), with the depth deviate in the last column.
+    Returns (rtt, depth, rows, sigma2): the measurements, then the Jacobian
+    rows and variances at each distinct true geometry, which the bound reuses.
     """
     n = anchor_stack.shape[-2]
     t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
@@ -310,8 +306,7 @@ def _measurements(
 
 class _Cell(NamedTuple):
     """What a cell's row needs besides its estimates: the true positions,
-    (trials, 3) or one (1, 3) row when the AUV does not move, and the
-    bound averaged over them."""
+    (trials, 3) or one (1, 3) row, and the bound averaged over them."""
 
     truth: np.ndarray
     trace: float
@@ -330,11 +325,9 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
     the timing deviates with the depth deviate in the last column.  Travel
     times, noise levels and the bound's rows come from one batched kernel
     call; the bound is taken here, so the rows are freed before any
-    estimation.  An AUV that does not move is one (1, 3) truth row, so a
-    cell whose trials also share one layout evaluates that one geometry
-    once and broadcasts it over its trials.  Returns the cell and its
-    estimator inputs: the anchor stack, the travel times and the depth
-    readings.
+    estimation; a static AUV is one (1, 3) truth row.  Returns the cell
+    and its estimator inputs: the anchor stack, the travel times and the
+    depth readings.
     """
     anchors0, k_used, n = _fixed_layout(s)
     move = s.movement
@@ -357,8 +350,7 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
-    trace = _augmented_trace(rows, sigma2, s.trials)
-    return _Cell(truth, trace, k_used, n), anchor_stack, rtt, depth_meas
+    return _Cell(truth, _augmented_trace(rows, sigma2), k_used, n), anchor_stack, rtt, depth_meas
 
 
 def _run_mc(cells: list[Scenario]) -> list[_CellResult]:

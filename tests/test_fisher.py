@@ -517,6 +517,24 @@ class TestBatchedCore:
         if differ.size:
             warnings.warn(f"pairs straddling a threshold by rounding: {differ.tolist()}")
 
+    def test_near_vertical_matches_the_straight_ray(self):
+        # at steepness 1e-6 the bent-ray correction is about 1e-14, so the
+        # travel time is the straight-ray form (r / dz) * ln(c(z_q) / c(z_p)) / a;
+        # an arctan / tan round trip near the vertical loses 3e-5 here
+        rng = np.random.default_rng(45)
+        ssp = SoundSpeedProfile(1480.0, 1e-6)
+        d = 10.0 ** rng.uniform(-2.0, 1.0, 2000)
+        phi = rng.uniform(-math.pi, math.pi, 2000)
+        zq = rng.uniform(20.0, 300.0, 2000)
+        zp = rng.uniform(0.0, 10.0, 2000)
+        q = np.column_stack((d * np.cos(phi), d * np.sin(phi), zq))
+        p = np.column_stack((np.zeros(2000), np.zeros(2000), zp))
+        t, _ = _time_and_rows(q, p[:, None], ssp)
+        dz = zq - zp
+        a, b = ssp.steepness_a, ssp.surface_speed_b
+        straight = np.sqrt(d * d + dz * dz) / dz * np.log1p(a * dz / (b + a * zp)) / a
+        assert np.max(np.abs(t[:, 0] / straight - 1.0)) < 1e-6
+
     def test_broadcast_trials(self):
         rng = np.random.default_rng(43)
         q_xyz = rng.uniform(-100, 100, (7, 3))

@@ -286,6 +286,42 @@ class TestSweep:
         assert _row_line(row).startswith("sigma_ms,1.0,fixed,5,nan,")
 
 
+class TestSharedGeometry:
+    """A cell whose AUV does not move and whose trials share one layout
+    evaluates that geometry once; moving cells and per-trial layouts keep
+    one geometry per trial."""
+
+    @staticmethod
+    def kernel_shapes(monkeypatch):
+        shapes = []
+        original = harness._time_and_rows
+
+        def count(q_xyz, p_xyz, ssp):
+            t, rows = original(q_xyz, p_xyz, ssp)
+            shapes.append(t.shape)
+            return t, rows
+
+        monkeypatch.setattr(harness, "_time_and_rows", count)
+        return shapes
+
+    def test_fig5_cells_evaluate_one_geometry(self, monkeypatch):
+        shapes = self.kernel_shapes(monkeypatch)
+        sweep(fig5_spec(trials=50))
+        # 15 calls of 8 pairs, where one geometry per trial makes 6,000
+        assert shapes == [(1, 8)] * 15
+
+    def test_fig4a_random_cells_keep_one_layout_per_trial(self, monkeypatch):
+        shapes = self.kernel_shapes(monkeypatch)
+        sweep(fig4a_spec(trials=20))
+        counts = range(4, 9)
+        assert shapes == [(1, n) for n in counts] * 2 + [(20, n) for n in counts]
+
+    def test_fig6_moving_cells_keep_one_geometry_per_trial(self, monkeypatch):
+        shapes = self.kernel_shapes(monkeypatch)
+        sweep(fig6_spec(trials=50))
+        assert shapes == [(50, 8)] * 12
+
+
 class TestTaskGroups:
     """Cells that share a profile and noise model run through one estimator
     call when any of them draws a layout per trial, whatever their anchor
