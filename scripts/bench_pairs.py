@@ -25,10 +25,17 @@ verdict:
   spread, unless every run of the change beats every run of the parent;
 - ``within_bound`` otherwise.
 
+``--claim WORKLOAD.METRIC`` names the gain the change claims.  The
+output's ``claim_met`` holds when the change wins at least nine of every
+ten pairs of that metric (ties count for neither side) and its median
+beats the parent's by more than the parent's interquartile range.
+
 ``--traced SEED`` adds one ``--trace 1`` run per side and workload.
 
-Exits 1 when any run fails or reports correct: false; the file is
-written either way.
+Exits 2 before any run when the claim names a workload that is not in
+``--workloads`` or a metric that is not an end-to-end metric of the
+change's BENCHMARK.json.  Exits 1 when any run fails or reports
+correct: false; the file is written either way.
 """
 
 from __future__ import annotations
@@ -119,6 +126,29 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "within_bound"
 
 
+def check_claim(claim: str, workloads: list[str], specs: list[dict]) -> tuple[str, str]:
+    """The (workload, metric) that --claim names; ValueError when either is unknown."""
+    workload, _, metric = claim.partition(".")
+    if workload not in workloads:
+        raise ValueError(f"--claim {claim}: workload {workload!r} is not in --workloads")
+    if metric not in {spec["name"] for spec in specs}:
+        raise ValueError(f"--claim {claim}: {metric!r} is no end-to-end metric of BENCHMARK.json")
+    return workload, metric
+
+
+def claim_met(metric: dict) -> bool:
+    """Whether one summarized metric bears out a claimed gain.
+
+    The change must win at least nine tenths of the pairs, ties counting
+    for neither side, and its median must beat the parent's by more than
+    the parent's interquartile range.
+    """
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    pairs = len(metric["parent"]["runs_by_seed"])
+    gain = sign * (metric["change"]["median"] - metric["parent"]["median"])
+    return 10 * metric["change_wins"] >= 9 * pairs and gain > metric["parent_iqr"]
+
+
 def summarize(runs: list[dict], specs: list[dict]) -> dict:
     """Per-metric statistics of one workload's pairs.
 
@@ -161,7 +191,8 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    report = {"machine": None, "commits": {}, "claim": args.claim, "workloads": {},
+    report = {"machine": None, "commits": {}, "claim": args.claim, "claim_met": None,
+              "workloads": {},
               "command": f"python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {args.seconds:g} --trace 0, one process per run, "
                          "from a git archive export of each commit",
@@ -176,6 +207,11 @@ def main(argv=None) -> int:
             report["commits"][side] = export(rev, roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             specs = json.load(f)["end_to_end"]
+        try:
+            claimed = check_claim(args.claim, args.workloads, specs) if args.claim else None
+        except ValueError as e:
+            print(f"bench_pairs: {e}", file=sys.stderr)
+            return 2
         for workload in args.workloads:
             runs = []
             for i in range(args.pairs):
@@ -191,9 +227,13 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: correct={ok(run)} "
                           f"ops_per_s={value.get('value')}", flush=True)
             report["workloads"][workload] = {**summarize(runs, specs), "runs": runs}
-            for name, m in report["workloads"][workload]["metrics"].items():
+            metrics = report["workloads"][workload]["metrics"]
+            for name, m in metrics.items():
                 print(f"{workload} {name}: {m['verdict']}, median "
                       f"{m['parent']['median']:.6g} -> {m['change']['median']:.6g}", flush=True)
+            if claimed and claimed[0] == workload:
+                report["claim_met"] = claimed[1] in metrics and claim_met(metrics[claimed[1]])
+                print(f"claim {args.claim}: met={report['claim_met']}", flush=True)
             if args.traced is not None:
                 traced = {}
                 for side in SIDES:

@@ -508,6 +508,8 @@ def estimate_trials(
     """
     blocks = _blocks(rtt, depth, anchor_stack)
     for r, d, p in blocks:
+        if r.ndim != 2:
+            raise ValueError(f"travel times must be (trials, N), got shape {r.shape}")
         batch, n = r.shape
         if n < 4:
             raise TooFewAnchors(f"need at least 4 anchors, got {n}")

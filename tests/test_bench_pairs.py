@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py's summary of canned perfbench result lines."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -112,3 +113,49 @@ def test_verdict_lower_is_better():
     assert script.verdict([0.20, 0.20, 0.20], [0.26, 0.26, 0.26], "lower", 0.25) == "worse"
     assert script.verdict([0.1, 0.2, 0.3], [0.2, 0.2, 0.2], "lower", 0.25) == "unresolved"
     assert script.verdict([0.1, 0.2, 0.3], [0.05, 0.06, 0.07], "lower", 0.25) == "within_bound"
+
+
+def claim(table):
+    # (seed, parent ops_per_s, change ops_per_s) rows: claim_met of ops_per_s
+    canned = runs([(k, side, ops, 0.2) for k, p, c in table
+                   for side, ops in (("parent", p), ("change", c))])
+    script = load_script()
+    return script.claim_met(script.summarize(canned, SPECS)["metrics"]["ops_per_s"])
+
+
+def test_claim_met():
+    # ten wins; the median gain, 119.5 - 99.5, exceeds the parent's IQR of 4.5
+    assert claim([(k, 95.0 + k, 115.0 + k) for k in range(10)])
+
+
+def test_claim_missed_on_wins():
+    # a median gain of 19 against an IQR of 4.5, but two of the ten pairs are losses
+    table = [(k, 95.0 + k, 115.0 + k) for k in range(10)]
+    table[0], table[9] = (0, 95.0, 90.0), (9, 104.0, 100.0)
+    assert not claim(table)
+
+
+def test_claim_missed_on_iqr():
+    # ten wins, but the median gain of 2 sits inside the parent's IQR of 18
+    assert not claim([(k, 80.0 + 4 * k, 82.0 + 4 * k) for k in range(10)])
+
+
+@pytest.mark.parametrize("claimed", ["mc_fig4a.ops_per_s", "mc_fig5_par.speed", "mc_fig5_par"])
+def test_unknown_claim_exits_2_before_any_run(claimed, monkeypatch, tmp_path):
+    # only mc_fig5_par runs, and ops_per_s and setup_s are the metrics
+    script = load_script()
+
+    def export(rev, dest):
+        pathlib.Path(dest).mkdir(parents=True)
+        (pathlib.Path(dest) / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+        return rev
+
+    def run_once(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(script, "export", export)
+    monkeypatch.setattr(script, "run_once", run_once)
+    argv = ["--parent", "a", "--change", "b", "--workloads", "mc_fig5_par",
+            "--first-seed", "0", "--claim", claimed, "--out", str(tmp_path / "out.json")]
+    assert script.main(argv) == 2
+    assert not (tmp_path / "out.json").exists()

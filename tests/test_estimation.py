@@ -752,6 +752,20 @@ class TestWindow:
         with pytest.raises(ValueError, match="depth shape"):
             estimate_trials(*args, SSP, NOISE_1MS)
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_travel_times_must_be_two_dimensional(self, as_list):
+        # one trial's four travel times passed flat, with a (4, 3) layout;
+        # as a list, the flat block follows a good one
+        rtt, depth = measure(USC8[:4], NOISE_1MS, 1, seed=0)
+        layout = np.array([p.as_array() for p in USC8[:4]])
+        flat = rtt[0]
+        if as_list:
+            args = ([rtt, flat], [depth, depth], [layout, layout])
+        else:
+            args = (flat, depth, layout)
+        with pytest.raises(ValueError, match=r"travel times must be \(trials, N\), got shape \(4,\)"):
+            estimate_trials(*args, SSP, NOISE_1MS)
+
 
 class TestConditionScreen:
     def test_flags_what_eigvalsh_flags(self):
