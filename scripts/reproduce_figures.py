@@ -11,8 +11,7 @@ The Monte Carlo figures take a few minutes at the default 2000 trials;
 pass --trials 200 for a quick pass.  The sweep cells run serially
 unless --workers asks for more threads.  fig4a, fig4b and fig6 are one
 task each, so extra threads leave them serial; fig5 is fifteen tasks,
-and on a 2-core machine two threads take it from about 0.44 s to
-0.33 s.  The output is the same for any worker count.
+which the threads share.  The output is the same for any worker count.
 """
 
 import argparse

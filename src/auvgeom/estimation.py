@@ -21,8 +21,9 @@ Each group is one broadcast kernel call over the samples still rejected,
 and a sample takes the first scale that passes.  The ray kernel's
 travel times and Jacobian rows at an accepted candidate become the next
 iterate's, so the kernel runs once on the starting points and then only
-on candidates.  A normal matrix counts as singular under the cond > 1e12
-rule that ``fim`` applies to the Fisher matrix, screened by
+on candidates, and the timing variances come from the slant ranges it
+returns.  A normal matrix counts as singular under the cond > 1e12 rule
+that ``fim`` applies to the Fisher matrix, screened by
 ``fisher._condition_screen`` so that most of a stack skips the
 eigenvalue solve.
 
@@ -51,23 +52,19 @@ outgrows the window.
 
 The blocks of one call may differ in anchor count.  ``estimate_trials``
 runs them in order of anchor count, stably, and returns its outputs in
-the caller's order.  The active samples sit in window arrays padded to
-the widest count among them, ordered by count and then by admission, so
-each count is one contiguous run; with the blocks sorted, only the
-tails of the narrower blocks are ever padded.  A block's anchors are
-(N, 3) shared or one layout per sample; either way each admitted sample
-gets its own row of the window.  A padded slot repeats the sample's last
-anchor, so the kernel and the noise model see only pairs they already
-see.  Padding moves no output bit.  Padded rows enter the normal sums
-as exact zeros, set rather than multiplied because a pair may be NaN,
-and x + 0.0 == x.  The two sums along the anchors are another matter:
-numpy adds fewer than 8 terms in order and 8 or more pairwise, so a
-padded term would move their rounding.  Those two, the whitened cost
-(N timing terms, then the depth term) and the line search's
-frozen-weight cost (N terms), run once per count over exactly the
-sample's own columns.  The start point and the runaway span come from
-the sample's own anchors, and the kernel and ``_sigma2`` work pair by
-pair.
+the caller's order.  The active samples sit in window arrays, in order
+of admission, padded to the widest count among them; with the blocks
+sorted, only the tails of the narrower blocks are ever padded.  A
+block's anchors are (N, 3) shared or one layout per sample; either way
+each admitted sample gets its own row of the window.  A padded slot
+repeats the sample's last anchor, so the kernel and the noise model see
+only pairs they already see.  Padding and window order move no output
+bit: padded terms enter every sum as exact zeros, set rather than
+multiplied because a pair may be NaN, and x + 0.0 == x; the two sums
+along the anchors, the whitened cost (N timing terms, then the depth
+term) and the line search's frozen-weight cost (N terms), add in anchor
+order.  The start point and the runaway span come from the sample's own
+anchors, and the kernel and the noise model work pair by pair.
 
 The normal equations are solved in closed form: one cofactor pass over
 the six sums of J^T W J gives the singular screen its determinant and
@@ -97,8 +94,8 @@ from .fisher import (
     NoiseModel,
     _condition_screen,
     _first_row_expansion,
-    _sigma2,
     _time_and_rows,
+    _variance_at,
 )
 from .geometry import SoundSpeedProfile
 
@@ -185,24 +182,16 @@ def _normal_steps(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return delta, bad
 
 
-def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
-    """(lo, hi, n) of each run of equal anchor counts n in sorted counts."""
-    if counts[0] == counts[-1]:
-        return [(0, len(counts), int(counts[0]))]
-    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
-    return [(lo, hi, int(counts[lo])) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _own_sums(x: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
-    """Sums of x (batch, ..., width) over its last axis, each run of
-    samples over its first n columns only.
-
-    numpy adds fewer than 8 terms in order and 8 or more pairwise, so a
-    padded column, even an exact zero, could move a sum's rounding.
-    """
-    out = np.empty(x.shape[:-1])
-    for lo, hi, n in runs:
-        np.sum(x[lo:hi, ..., :n], axis=-1, out=out[lo:hi])
+def _own_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of x (batch, ..., width) over its last axis in column order,
+    sample i over its first counts[i] columns: the rest are set to zero in
+    place (a padded pair may be NaN), and x + 0.0 == x for these terms."""
+    width = x.shape[-1]
+    if counts.min() < width:
+        np.copyto(x, 0.0, where=np.arange(width) >= counts.reshape(-1, *(1,) * (x.ndim - 1)))
+    out = x[..., 0].copy()
+    for j in range(1, width):
+        out += x[..., j]
     return out
 
 
@@ -214,41 +203,40 @@ def _normal_sums(
     q: np.ndarray,
     sigma2: np.ndarray,
     sw: float,
-    runs: list[tuple[int, int, int]],
+    counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nine normal sums (9, batch) and the whitened cost (batch,) at q.
 
     rows (batch, width, 3) and t (batch, width) are the kernel's Jacobian
     rows and travel times at q, sigma2 (batch, width) the timing variances
-    there and sw the depth row's weight.  Each run (lo, hi, n) of samples
-    has n anchors: its columns past n are padding and add nothing.  The
-    sums are ``_normal_steps``' input.  Its per-row products, the largest
-    arrays of an iteration, are freed on return, before the line search
+    there and sw the depth row's weight.  Sample i has counts[i] anchors:
+    its columns past that are padding and add nothing.  The sums are
+    ``_normal_steps``' input.  Its per-row products, the largest arrays
+    of an iteration, are freed on return, before the line search
     allocates its candidates.
     """
     batch, width = t.shape
     sigma = np.sqrt(sigma2)
     # whitened timing rows with the sample index last, (width, 3, batch),
-    # and the timing residuals; a run's depth residual follows its own n
+    # and the timing residuals
     design = np.empty((width, 3, batch))
-    resid = np.empty((batch, width + 1))
+    resid = np.empty((batch, width))
     # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
     # then those of J^T W r
     prod = np.empty((width, 9, batch))
     # an overflowed variance gives NaN residuals, screened out as singular
     with np.errstate(invalid="ignore", over="ignore"):
         np.divide(rows.transpose(1, 2, 0), sigma.T[:, None], out=design)
-        np.divide(rtt - t, sigma, out=resid[:, :width])
+        np.divide(rtt - t, sigma, out=resid)
         np.multiply(design, design, out=prod[:, :3])
         np.multiply(design[:, :2], design[:, 1:], out=prod[:, 3:5])
         np.multiply(design[:, 0], design[:, 2], out=prod[:, 5])
-        np.multiply(design, resid[:, :width].T[:, None], out=prod[:, 6:])
-        depth_resid = sw * (depth - q[:, 2])
-        for lo, hi, n in runs:
+        np.multiply(design, resid.T[:, None], out=prod[:, 6:])
+        if counts.min() < width:
             # padded rows are set, not scaled, to zero: a pair may be NaN
-            prod[n:, :, lo:hi] = 0.0
-            resid[lo:hi, n] = depth_resid[lo:hi]
-        cur_sse = _own_sums(resid**2, [(lo, hi, n + 1) for lo, hi, n in runs])
+            np.copyto(prod, 0.0, where=np.arange(width)[:, None, None] >= counts)
+        depth_resid = sw * (depth - q[:, 2])
+        cur_sse = _own_sums(resid * resid, counts) + depth_resid * depth_resid
         # summed from zero over the timing rows in order, then the depth
         # pseudo-row (0, 0, sw): the order of one sum over all N + 1
         # rows, so the depth row is never built; a zero row adds +0.0,
@@ -268,17 +256,17 @@ def _weighted_sse(
     depth: np.ndarray,
     sigma2: np.ndarray,
     w_depth: float,
-    runs: list[tuple[int, int, int]],
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Frozen-weight cost of candidates q (batch, ..., 3) with travel times
-    t (batch, ..., width), each run (lo, hi, n) of samples over its n anchors."""
+    t (batch, ..., width), sample i over its counts[i] anchors."""
     # sigma2 is frozen at the iterate that produced the step, so the line
     # search descends a fixed objective; re-deriving weights from the
     # candidate would let a good step raise the cost and stall the solver.
     r = rtt - t
     r *= r
     r /= sigma2
-    return _own_sums(r, runs) + w_depth * (depth - q[..., 2]) ** 2
+    return _own_sums(r, counts) + w_depth * (depth - q[..., 2]) ** 2
 
 
 # one block of samples: travel times (T, N), depth readings (T,) and the
@@ -346,14 +334,14 @@ def _estimate_batch(
     frozen while the rest continue.  At most the largest block's worth of
     samples are active at once, the rest admitted in order as others
     leave.  Blocks given in order of anchor count pad only the narrower
-    blocks' tails.
+    blocks' tails; any order gives the same output.
 
-    The active samples' travel times, anchors, and the travel times and
-    Jacobian rows at their current points are kept in window arrays
-    ordered by anchor count.  The kernel runs on a sample's starting
-    point when it is admitted, and afterwards only on line-search
-    candidates, whose output becomes the next iterate's when the
-    candidate is accepted.
+    The active samples' travel times, anchors, and the kernel's travel
+    times, Jacobian rows and slant ranges at their current points are
+    kept in window arrays, in order of admission.  The kernel runs on a
+    sample's starting point when it is admitted, and afterwards only on
+    line-search candidates, whose output becomes the next iterate's when
+    the candidate is accepted.
     """
     blocks = _blocks(rtt, depth, anchors)
     starts = np.cumsum([0] + [len(r) for r, _, _ in blocks])
@@ -379,41 +367,38 @@ def _estimate_batch(
     gamma = np.ones(batch)
     prev_step = np.zeros((batch, 3))
     admitted = 0
-    # the active samples, by anchor count and then by admission: their
-    # indices and counts, then their travel times, the anchors, and the
-    # kernel's travel times and rows at their points, padded to widest
+    # the active samples in order of admission: their indices and
+    # counts, then their travel times, the anchors, and the kernel's
+    # travel times, rows and slant ranges at their points, padded to widest
     win = {
         "ids": np.zeros(0, dtype=int),
         "counts": np.zeros(0, dtype=int),
         "rtt": np.empty((0, widest)),
         "t": np.empty((0, widest)),
         "rows": np.empty((0, widest, 3)),
+        "r": np.empty((0, widest)),
         "p": np.empty((0, widest, 3)),
     }
 
     while True:
-        # refill the active set up to the window, in the given order, and
-        # keep it ordered by anchor count, so that each count is one run
+        # refill the active set up to the window, in the given order
         fill = min(window - len(win["ids"]), batch - admitted)
         if fill:
             new = _admit(blocks, starts, admitted, admitted + fill, widest)
             w = new["counts"].max()
-            t_new, rows_new = _time_and_rows(q[admitted : admitted + fill], new["p"][:, :w], ssp)
-            new["t"], new["rows"] = _pad(t_new, widest), _pad(rows_new, widest)
+            kernel = _time_and_rows(q[admitted : admitted + fill], new["p"][:, :w], ssp)
+            new["t"], new["rows"], new["r"] = (_pad(x, widest) for x in kernel)
             win = {k: np.concatenate((v, new[k])) for k, v in win.items()}
             admitted += fill
-            if (np.diff(win["counts"]) < 0).any():
-                order = np.argsort(win["counts"], kind="stable")
-                win = {k: v[order] for k, v in win.items()}
         ids, counts = win["ids"], win["counts"]
         if not ids.size:
             break
-        width = counts[-1]
-        qa = q[ids]
-        sigma2 = _sigma2(qa, win["p"][:, :width], noise)
+        width = counts.max()
+        with np.errstate(over="ignore"):
+            sigma2 = _variance_at(noise, win["r"][:, :width])
         acc, cur_sse = _normal_sums(
-            win["rows"][:, :width], win["t"][:, :width], win["rtt"][:, :width], depth[ids], qa,
-            sigma2, sw, _runs(counts),
+            win["rows"][:, :width], win["t"][:, :width], win["rtt"][:, :width], depth[ids],
+            q[ids], sigma2, sw, counts,
         )
         delta, bad = _normal_steps(acc)
         # window positions of the samples that take a step; a singular
@@ -456,20 +441,21 @@ def _estimate_batch(
                 break
             at = pos[rest]
             n_at = counts[at]
-            w = n_at[-1]
+            w = n_at.max()
             cand = base[rest, None] + scales[:, None] * delta[rest, None]
-            t_c, rows_c = _time_and_rows(cand, win["p"][at, None, :w], ssp)
+            t_c, rows_c, r_c = _time_and_rows(cand, win["p"][at, None, :w], ssp)
             rs = sub[rest]
             ok = _weighted_sse(
                 t_c, cand, win["rtt"][at, None, :w], depth[rs, None], frozen_s2[rest, None, :w],
-                w_depth, _runs(n_at),
+                w_depth, n_at,
             ) <= limit[rest, None]
             found = ok.any(axis=1)
             first = ok[found].argmax(axis=1)
             pick = (np.flatnonzero(found), first)
             hit = at[found]
             q[rs[found]] = cand[pick]
-            win["t"][hit, :w], win["rows"][hit, :w] = t_c[pick], rows_c[pick]
+            for key, x in (("t", t_c), ("rows", rows_c), ("r", r_c)):
+                win[key][hit, :w] = x[pick]
             scale[rest[found]] = scales[first]
             rest = rest[~found]
         prev_step[sub] = scale[:, None] * delta
@@ -517,8 +503,8 @@ def estimate_trials(
             raise ValueError("anchor stack shape does not match the samples")
         if d.shape != (batch,):
             raise ValueError("depth shape does not match the samples")
-    # the blocks by anchor count, stably, and the input index of each of
-    # their samples in that order
+    # the blocks by anchor count, stably, which keeps the window's padding
+    # low, and the input index of each of their samples in that order
     counts = np.concatenate([np.full(len(r), r.shape[1]) for r, _, _ in blocks])
     ids = np.argsort(counts, kind="stable")
     blocks = sorted(blocks, key=lambda b: b[0].shape[1])

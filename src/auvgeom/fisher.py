@@ -29,10 +29,11 @@ Fisher information matrix for the AUV position is
 
 where row i of J is the gradient above for anchor i.
 
-``_time_and_rows`` evaluates travel times and these rows for any batch of
-anchor-AUV pairs, and ``_sigma2`` the timing variances.  They are the one
-source of both for ``fim``, the Monte-Carlo harness's measurements and
-bound, and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
+``_time_and_rows`` evaluates travel times, these rows and the slant
+ranges for any batch of anchor-AUV pairs in one pass, and
+``_variance_at`` turns ranges into timing variances.  They are the one
+source of all three for ``fim``, the Monte-Carlo harness's measurements
+and bound, and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
 refuses a matrix whose condition number exceeds 1e12, and inverts the
 rest with LAPACK.  One rule judges both its single matrix, by one
 ``eigvalsh`` that also gives the condition number it reports, and the
@@ -131,15 +132,16 @@ class FimResult:
 
 
 def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile):
-    """Vectorized travel times and Jacobian rows, the one production source of both.
+    """Vectorized travel times, Jacobian rows and slant ranges: the one production source.
 
     q_xyz broadcasts as (..., 3) and p_xyz as (..., N, 3); returns
-    (t, rows) with shapes (..., N) and (..., N, 3).  Entries are NaN
-    wherever the pair is vertical, grazing (either cosine of the module
-    docstring at most 1e-12), or has |cos^2(theta) - sin^2(alpha)| < 1e-12,
-    so the caller can treat invalid geometry as an infinite-cost region.
-    Every pair is tested: neither cosine exceeds 1, so the last two tests
-    come to P > 0 and d^2 P Q >= 1e-12 (r rho)^2, and P is clamped at 0.
+    (t, rows, r) with shapes (..., N), (..., N, 3) and (..., N).  t and
+    rows are NaN wherever the pair is vertical, grazing (either cosine of
+    the module docstring at most 1e-12), or has |cos^2(theta) -
+    sin^2(alpha)| < 1e-12, so the caller can treat invalid geometry as an
+    infinite-cost region; r is every pair's slant range.  Every pair is
+    tested: neither cosine exceeds 1, so the last two tests come to P > 0
+    and d^2 P Q >= 1e-12 (r rho)^2, and P is clamped at 0.
     """
     b = ssp.surface_speed_b
     a = ssp.steepness_a
@@ -156,7 +158,8 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
         d = np.sqrt(d2)
         dz = zq - zp
         axial = c + zq + zp
-        rr2 = (axial * axial + d2) * (dz * dz + d2)  # (r rho)^2
+        r = dz * dz + d2  # r^2, its square root taken last
+        rr2 = (axial * axial + d2) * r  # (r rho)^2
         ok = d2 * (big_p * big_q) >= DEGENERACY_TOL * rr2
         ok &= d > COINCIDENT_TOL
         # r rho sin(theta -/+ alpha) = dz A -/+ d^2; over d Q and d P they
@@ -178,7 +181,8 @@ def _time_and_rows(q_xyz: np.ndarray, p_xyz: np.ndarray, ssp: SoundSpeedProfile)
         if not ok.all():
             t[~ok] = np.nan
             rows[~ok] = np.nan
-    return t, rows
+        np.sqrt(r, out=r)
+    return t, rows, r
 
 
 def _variance_at(noise: NoiseModel, distance_l):
@@ -190,22 +194,6 @@ def _variance_at(noise: NoiseModel, distance_l):
         noise.l_f_db_per_km / 1000.0
     )
     return np.power(10.0, (noise.ke_db + a_db) / 10.0)
-
-
-@np.errstate(over="ignore")
-def _sigma2(q_xyz: np.ndarray, p_xyz: np.ndarray, noise: NoiseModel):
-    """Timing variances at the slant ranges of q_xyz (..., 3) to anchors p_xyz (..., N, 3)."""
-    if noise.kind == KIND_CONSTANT:
-        shape = np.broadcast_shapes(np.shape(q_xyz)[:-1] + (1,), np.shape(p_xyz)[:-1])
-        return np.full(shape, noise.sigma ** 2)
-    dx = q_xyz[..., None, 0] - p_xyz[..., 0]
-    dy = q_xyz[..., None, 1] - p_xyz[..., 1]
-    dz = q_xyz[..., None, 2] - p_xyz[..., 2]
-    l = dx * dx
-    l += dy * dy
-    l += dz * dz
-    np.sqrt(l, out=l)
-    return _variance_at(noise, l)
 
 
 def noise_variance(noise: NoiseModel, distance_l: float) -> float:
@@ -279,8 +267,8 @@ def fim(
 ) -> FimResult:
     """Fisher information and CRLB for one AUV position and anchor set.
 
-    Forms J^T Sigma^{-1} J from the kernel's rows and the shared
-    variances.  Raises TooFewAnchors below four anchors,
+    Forms J^T Sigma^{-1} J from the kernel's rows and the variances at
+    its slant ranges.  Raises TooFewAnchors below four anchors,
     DegenerateGeometry naming the first anchor whose row is undefined,
     and SingularFim when the matrix is not finite or its condition
     number (``_condition_number``, returned too) exceeds 1e12; otherwise
@@ -289,7 +277,7 @@ def fim(
     if len(anchors) < 4:
         raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
     q_xyz, p_xyz = q.as_array(), np.array([p.as_array() for p in anchors])
-    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
+    _, rows, r = _time_and_rows(q_xyz, p_xyz, ssp)
     bad = np.flatnonzero(np.isnan(rows).any(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -299,7 +287,7 @@ def fim(
             reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
         raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
-        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, noise)[:, None])
+        f = rows.T @ (rows / _variance_at(noise, r)[:, None])
         f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding
     cond = _condition_number(f)
     if not cond <= CONDITION_LIMIT:

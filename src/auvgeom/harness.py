@@ -54,7 +54,7 @@ from .deployment import (
 )
 from .errors import AuvgeomError, EmptyTable, NoConvergedTrials
 from .estimation import DEPTH_NOISE_VAR, EstimatorConfig, estimate_trials
-from .fisher import NoiseModel, _sigma2, _time_and_rows, fim
+from .fisher import NoiseModel, _time_and_rows, _variance_at, fim
 from .geometry import Position, SoundSpeedProfile
 
 DIVERGENCE_FLAG_FRACTION = 0.05
@@ -297,8 +297,9 @@ def _measurements(
     rows and variances at each distinct true geometry, which the bound reuses.
     """
     n = anchor_stack.shape[-2]
-    t_true, rows = _time_and_rows(truth, anchor_stack, ssp)
-    sigma2 = _sigma2(truth, anchor_stack, noise)
+    t_true, rows, r = _time_and_rows(truth, anchor_stack, ssp)
+    with np.errstate(over="ignore"):
+        sigma2 = _variance_at(noise, r)
     rtt = t_true + dev[:, :n] * np.sqrt(sigma2)
     depth = truth[:, 2] + dev[:, n] * math.sqrt(DEPTH_NOISE_VAR)
     return rtt, depth, rows, sigma2

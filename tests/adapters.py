@@ -5,5 +5,5 @@ from auvgeom.fisher import _time_and_rows
 
 def kernel_pair(q, p, ssp):
     """The kernel's travel time and (3,) Jacobian row between the AUV at q and anchor p."""
-    t, rows = _time_and_rows(q.as_array(), p.as_array()[None], ssp)
+    t, rows, _ = _time_and_rows(q.as_array(), p.as_array()[None], ssp)
     return float(t[0]), rows[0]

@@ -1,8 +1,8 @@
 """Reference formulas that the vectorized code is checked against.
 
 Apart from ``reference_fim``, they share no code with the batched kernel
-``fisher._time_and_rows``, the shared variance function
-``fisher._sigma2`` or ``fim``:
+``fisher._time_and_rows``, its slant ranges, the noise model's
+``fisher._variance_at`` or ``fim``:
 
 - ``snell_travel_time_oracle`` integrates the travel time from Snell's
   law, with no use of the closed form;
@@ -22,8 +22,8 @@ scene and runs every check.
 
 ``reference_fim`` and ``reference_diagonal_lower_bound`` are ``fim`` and
 ``diagonal_lower_bound`` as they were written before ``fim`` judged its
-matrix by its own ``eigvalsh``: the same kernel rows, variances and
-weighted product, refused by the batched ``fisher._condition_screen``,
+matrix by its own ``eigvalsh``: the same kernel rows, variances at its
+slant ranges and weighted product, refused by the batched ``fisher._condition_screen``,
 reduced by numpy, and with numpy's SVD-based ``np.linalg.cond`` as the
 condition number.  Bits compare, so they call the kernel themselves.
 """
@@ -45,7 +45,6 @@ from auvgeom.fisher import (
     KIND_CONSTANT,
     FimResult,
     _condition_screen,
-    _sigma2,
     _time_and_rows,
     _variance_at,
     noise_variance,
@@ -317,7 +316,7 @@ def reference_fim(q, anchors, ssp, noise):
     if len(anchors) < 4:
         raise TooFewAnchors(f"need at least 4 anchors, got {len(anchors)}")
     q_xyz, p_xyz = q.as_array(), np.array([p.as_array() for p in anchors])
-    _, rows = _time_and_rows(q_xyz, p_xyz, ssp)
+    _, rows, r = _time_and_rows(q_xyz, p_xyz, ssp)
     bad = np.flatnonzero(np.isnan(rows).any(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -327,7 +326,7 @@ def reference_fim(q, anchors, ssp, noise):
             reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
         raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
-        f = rows.T @ (rows / _sigma2(q_xyz, p_xyz, noise)[:, None])
+        f = rows.T @ (rows / _variance_at(noise, r)[:, None])
         f = 0.5 * (f + f.T)
     if _condition_screen(f)[0]:
         raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")

@@ -21,13 +21,14 @@ from auvgeom.estimation import (
     EstimatorConfig,
     _estimate_batch,
     _normal_steps,
+    _own_sums,
     estimate_trials,
 )
 from auvgeom.fisher import (
     NoiseModel,
     _condition_screen,
-    _sigma2,
     _time_and_rows,
+    _variance_at,
     fim,
 )
 from auvgeom.geometry import Position, SoundSpeedProfile
@@ -314,7 +315,7 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
     w_depth = 1.0 / DEPTH_NOISE_VAR
 
     def weighted_sse(q, p, rtt_s, depth_s, sigma2):
-        t, _ = _time_and_rows(q, p, ssp)
+        t, _, _ = _time_and_rows(q, p, ssp)
         sse = np.sum((rtt_s - t) ** 2 / sigma2, axis=-1)
         return sse + w_depth * (depth_s - q[..., 2]) ** 2
 
@@ -332,8 +333,8 @@ def reference_estimate_batch(rtt, depth, p_b, ssp, noise, config, q0):
             break
         idx = np.flatnonzero(active)
         qa = q[idx]
-        t, rows = _time_and_rows(qa, p_b[idx], ssp)
-        sigma2 = _sigma2(qa, p_b[idx], noise)
+        t, rows, r = _time_and_rows(qa, p_b[idx], ssp)
+        sigma2 = _variance_at(noise, r)
         sigma = np.sqrt(sigma2)
         design = rows / sigma[..., None]
         resid = (rtt[idx] - t) / sigma
@@ -496,7 +497,7 @@ class TestBatchMatchesReference:
         stack = np.array([plane if i % 3 == 0 else usc for i in range(30)])
         noise = NoiseModel.distance_dependent()
         rng = np.random.default_rng(0)
-        t, _ = _time_and_rows(np.tile(TRUTH.as_array(), (30, 1)), stack, SSP)
+        t, _, _ = _time_and_rows(np.tile(TRUTH.as_array(), (30, 1)), stack, SSP)
         rtt = t + 1e-3 * rng.normal(size=t.shape)
         depth = TRUTH.z + rng.normal(size=30)
         _, _, singular = self.check(rtt, depth, stack, SSP, noise, EstimatorConfig())
@@ -581,9 +582,10 @@ class TestWindow:
     block's worth of trials iterates at once, so cells cut into blocks of
     at most size trials run through a window of that size; a size at or
     above the largest cell (60, 2000, None) leaves every cell one block,
-    as the harness passes them.  numpy sums fewer than 8 terms in
-    order and 8 or more pairwise, so cells of 7 and 8 anchors sit on
-    either side of the rounding that padding could move.
+    as the harness passes them.  Cells of 7 and 8 anchors sit where
+    ``np.sum`` would switch from in-order to pairwise addition; the
+    estimator's anchor sums add in column order with padded terms
+    zeroed, so padding a narrower cell moves none of its rounding.
     """
 
     NAMES = ("q", "iterations", "converged", "singular")
@@ -674,7 +676,8 @@ class TestWindow:
     def test_blocks_run_in_anchor_count_order(self, monkeypatch):
         # fig4a's cells in row order (usc, cube, random, each n = 4..8)
         # cost the kernel as many pairs as in anchor-count order, because
-        # the estimator sorts them; unsorted, the window pads far more
+        # estimate_trials sorts them; unsorted, the window pads far more,
+        # but holds the counts out of order with the same output
         inputs = figure_inputs(harness.fig4a_spec)
         _, _, _, ssp, noise, config = inputs[0]
         by_count = sorted(inputs, key=lambda args: args[0].shape[1])
@@ -682,33 +685,37 @@ class TestWindow:
         kernel = estimation._time_and_rows
 
         def counted(q, p, ssp):
-            t, rows = kernel(q, p, ssp)
-            pairs[-1] += t.size
-            return t, rows
+            out = kernel(q, p, ssp)
+            pairs[-1] += out[0].size
+            return out
 
         monkeypatch.setattr(estimation, "_time_and_rows", counted)
 
         def count(solve, cells, *args):
             pairs.append(0)
-            solve(*self.merged([c[:3] for c in cells]), ssp, noise, config, *args)
-            return pairs[-1]
+            out = solve(*self.merged([c[:3] for c in cells]), ssp, noise, config, *args)
+            return pairs[-1], out
 
-        row_order = count(estimate_trials, inputs)
-        assert row_order == count(estimate_trials, by_count)
+        row_order, want = count(estimate_trials, inputs)
+        assert row_order == count(estimate_trials, by_count)[0]
         q0 = np.concatenate([
             depth_anchored_start(d, np.broadcast_to(p, (len(r), *p.shape[-2:])))
             for r, d, p, *_ in inputs
         ])
-        assert count(_estimate_batch, inputs, q0) > 1.1 * row_order
+        unsorted, (q, iterations, converged, singular) = count(_estimate_batch, inputs, q0)
+        assert unsorted > 1.1 * row_order
+        got = (q, iterations, converged & ~singular, singular)
+        for name, g, w in zip(self.NAMES, got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
 
     def test_active_set_never_exceeds_the_window(self, monkeypatch):
         noise = NoiseModel.distance_dependent()
         cells = self.cells(noise)
         sizes = []
-        sigma2 = estimation._sigma2
-        # _sigma2 runs once per iteration on the active samples' points
+        variance = estimation._variance_at
+        # the variances are taken once per iteration at the active samples' points
         monkeypatch.setattr(
-            estimation, "_sigma2", lambda q, p, nm: sizes.append(len(q)) or sigma2(q, p, nm)
+            estimation, "_variance_at", lambda nm, r: sizes.append(len(r)) or variance(nm, r)
         )
         _, iterations, _, singular = estimate_trials(*self.merged(cells, 16), SSP, noise)
         assert max(sizes) == 16 and sizes[-1] < 16
@@ -725,9 +732,9 @@ class TestWindow:
         kernel = estimation._time_and_rows
 
         def counted(q, p, ssp):
-            t, rows = kernel(q, p, ssp)
-            pairs.append(t.size)
-            return t, rows
+            out = kernel(q, p, ssp)
+            pairs.append(out[0].size)
+            return out
 
         monkeypatch.setattr(estimation, "_time_and_rows", counted)
         estimate_trials(*self.merged(self.cells(noise), 16), SSP, noise)
@@ -765,6 +772,30 @@ class TestWindow:
             args = (flat, depth, layout)
         with pytest.raises(ValueError, match=r"travel times must be \(trials, N\), got shape \(4,\)"):
             estimate_trials(*args, SSP, NOISE_1MS)
+
+
+class TestOwnSums:
+    @pytest.mark.parametrize("middle", [(), (3,)])
+    @pytest.mark.parametrize("width", [8, 9])
+    def test_each_sample_adds_its_own_columns_in_order(self, width, middle):
+        # counts 4 to width, unsorted, at widths where np.sum adds
+        # pairwise; terms spread over many decades so the order shows,
+        # and every padded slot is NaN
+        rng = np.random.default_rng(9)
+        counts = rng.permutation(np.repeat(np.arange(4, width + 1), 12))
+        x = rng.lognormal(0.0, 6.0, (len(counts), *middle, width))
+        pad = np.arange(width) >= counts.reshape(-1, *(1,) * (x.ndim - 1))
+        x[np.broadcast_to(pad, x.shape)] = np.nan
+        own = [row[..., :n] for row, n in zip(x.copy(), counts)]
+        got = _own_sums(x, counts)
+        assert got.shape == x.shape[:-1]
+        for g, cols in zip(got, own):
+            flat = cols.reshape(-1, cols.shape[-1])
+            want = [sum(c.tolist()) for c in flat]
+            assert g.ravel().tolist() == want
+        # np.sum rounds some of the same sums differently
+        pairwise = [np.sum(cols, axis=-1) for cols in own]
+        assert any((p != g).any() for p, g in zip(pairwise, got))
 
 
 class TestConditionScreen:

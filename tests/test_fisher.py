@@ -21,6 +21,7 @@ from auvgeom.fisher import (
     _condition_number,
     _condition_screen,
     _time_and_rows,
+    _variance_at,
     diagonal_lower_bound,
     fim,
     noise_variance,
@@ -31,6 +32,8 @@ from oracles import (
     _deviation,
     _elevation,
     _horizontal_range,
+    _slant_range,
+    anchor_variance,
     angle_sum_fim,
     chain_row,
     closed_row,
@@ -459,7 +462,7 @@ class TestBatchedCore:
         q, anchors = random_scene(rng, n=5)
         q_xyz = q.as_array()
         p_xyz = np.array([p.as_array() for p in anchors])
-        t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
+        t, rows, _ = _time_and_rows(q_xyz, p_xyz, SSP)
         assert t.shape == (5,)
         assert rows.shape == (5, 3)
         for i, p in enumerate(anchors):
@@ -471,13 +474,13 @@ class TestBatchedCore:
     def test_invalid_rows_nan(self):
         q_xyz = np.array([0.0, 0.0, 50.0])
         p_xyz = np.array([[0.0, 0.0, 0.0], [60.0, 0.0, 0.0]])
-        t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
+        t, rows, _ = _time_and_rows(q_xyz, p_xyz, SSP)
         assert math.isnan(t[0]) and np.all(np.isnan(rows[0]))
         assert math.isfinite(t[1]) and np.all(np.isfinite(rows[1]))
         # a grazing pair (cos(theta + alpha) ~ 1e-13) and a coincident pair
         q_xyz = np.array([[0.0, 0.0, 1000.0], [7.0, -3.0, 20.0]])
         p_xyz = np.array([[[1e-10, 0.0, 0.0]], [[7.0, -3.0, 20.0]]])
-        t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
+        t, rows, _ = _time_and_rows(q_xyz, p_xyz, SSP)
         assert np.all(np.isnan(t)) and np.all(np.isnan(rows))
 
     def test_nan_pairs_match_angle_oracle(self):
@@ -501,7 +504,7 @@ class TestBatchedCore:
         offsets = np.array([0.0, 0.0, 5e-13, 1e-12, 1e-12 * (1 + 2**-52), 2e-12])
         p[800:, 0] = 0.0
         q[800:] = p[800:] + np.tile(offsets, 17)[:100, None] * [1.0, 0.0, 0.0]
-        t, rows = _time_and_rows(q, p[:, None], SSP)
+        t, rows, _ = _time_and_rows(q, p[:, None], SSP)
         assert t.shape == (900, 1)
         nan_t = np.isnan(t[:, 0])
         assert (np.isnan(rows[:, 0]) == nan_t[:, None]).all()
@@ -529,7 +532,7 @@ class TestBatchedCore:
         zp = rng.uniform(0.0, 10.0, 2000)
         q = np.column_stack((d * np.cos(phi), d * np.sin(phi), zq))
         p = np.column_stack((np.zeros(2000), np.zeros(2000), zp))
-        t, _ = _time_and_rows(q, p[:, None], ssp)
+        t, _, _ = _time_and_rows(q, p[:, None], ssp)
         dz = zq - zp
         a, b = ssp.steepness_a, ssp.surface_speed_b
         straight = np.sqrt(d * d + dz * dz) / dz * np.log1p(a * dz / (b + a * zp)) / a
@@ -541,7 +544,7 @@ class TestBatchedCore:
         q_xyz[:, 2] = rng.uniform(20, 200, 7)
         p_xyz = rng.uniform(-300, 300, (7, 4, 3))
         p_xyz[..., 2] = rng.uniform(0, 100, (7, 4))
-        t, rows = _time_and_rows(q_xyz, p_xyz, SSP)
+        t, rows, _ = _time_and_rows(q_xyz, p_xyz, SSP)
         assert t.shape == (7, 4)
         assert rows.shape == (7, 4, 3)
         # one entry of the batch against the kernel on that pair alone
@@ -549,3 +552,56 @@ class TestBatchedCore:
         assert t[3, 2] == pytest.approx(t0, rel=1e-14)
         for j in range(3):
             assert rows[3, 2, j] == pytest.approx(row0[j], rel=1e-14)
+
+
+class TestKernelRange:
+    """The kernel's third output: the slant range of every pair, from
+    which the noise model's variances come."""
+
+    @staticmethod
+    def check_ranges(q_xyz, p_xyz, r):
+        # each pair of the broadcast against the oracle's hypot form
+        qs, ps = np.broadcast_arrays(q_xyz[..., None, :], p_xyz)
+        assert r.shape == qs.shape[:-1]
+        for idx in np.ndindex(r.shape):
+            want = _slant_range(Position(*qs[idx]), Position(*ps[idx]))
+            assert r[idx] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_batch_against_samples(self):
+        # q (B, S, 3) against one layout per batch entry, p (B, 1, N, 3)
+        rng = np.random.default_rng(46)
+        q_xyz = rng.uniform(-300.0, 300.0, (4, 3, 3))
+        q_xyz[..., 2] = rng.uniform(20.0, 400.0, (4, 3))
+        p_xyz = rng.uniform(-500.0, 500.0, (4, 1, 6, 3))
+        p_xyz[..., 2] = rng.uniform(0.0, 300.0, (4, 1, 6))
+        t, rows, r = _time_and_rows(q_xyz, p_xyz, SSP)
+        assert t.shape == r.shape == (4, 3, 6) and rows.shape == (4, 3, 6, 3)
+        self.check_ranges(q_xyz, p_xyz, r)
+
+    def test_one_point_against_a_layout(self):
+        q, anchors = random_scene(np.random.default_rng(47), n=7)
+        p_xyz = np.array([p.as_array() for p in anchors])
+        _, _, r = _time_and_rows(q.as_array(), p_xyz, SSP)
+        assert r.shape == (7,)
+        self.check_ranges(q.as_array(), p_xyz, r)
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.distance_dependent(), NoiseModel.constant_variance(2e-3)]
+    )
+    def test_variances_match_the_oracle(self, noise):
+        q, anchors = random_scene(np.random.default_rng(48), n=8)
+        p_xyz = np.array([p.as_array() for p in anchors])
+        _, _, r = _time_and_rows(q.as_array(), p_xyz, SSP)
+        got = _variance_at(noise, r)
+        for g, p in zip(got.tolist(), anchors):
+            assert g == pytest.approx(anchor_variance(q, p, noise), rel=1e-13)
+
+    def test_nan_pairs_keep_their_range(self):
+        # a vertical pair, a grazing pair and a coincident pair: t and
+        # rows are NaN, r is still the slant range
+        q_xyz = np.array([[0.0, 0.0, 50.0], [0.0, 0.0, 1000.0], [7.0, -3.0, 20.0]])
+        p_xyz = np.array([[[0.0, 0.0, 0.0]], [[1e-10, 0.0, 0.0]], [[7.0, -3.0, 20.0]]])
+        t, rows, r = _time_and_rows(q_xyz, p_xyz, SSP)
+        assert np.isnan(t).all() and np.isnan(rows).all()
+        assert r[:, 0].tolist() == [50.0, 1000.0, 0.0]
+        self.check_ranges(q_xyz, p_xyz, r)

@@ -297,9 +297,9 @@ class TestSharedGeometry:
         original = harness._time_and_rows
 
         def count(q_xyz, p_xyz, ssp):
-            t, rows = original(q_xyz, p_xyz, ssp)
-            shapes.append(t.shape)
-            return t, rows
+            out = original(q_xyz, p_xyz, ssp)
+            shapes.append(out[0].shape)
+            return out
 
         monkeypatch.setattr(harness, "_time_and_rows", count)
         return shapes
