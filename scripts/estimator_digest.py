@@ -9,7 +9,7 @@ For each figure (fig4a, fig4b, fig5, fig6) and seed it runs the preset
 sweep serially, in this process, with the ``auvgeom`` package imported
 from --src, and prints one line:
 
-    fig4a seed=0 csv=... q=... iterations=... converged=... singular=...
+    fig4a seed=0 csv=... q=... iterations=... converged=... singular=... failed=N below_cap=M
 
 csv is the sha256 of the sweep's ``csv_text``.  q, iterations,
 converged and singular are each the sha256 of one output array of
@@ -17,7 +17,10 @@ converged and singular are each the sha256 of one output array of
 every array's dtype and shape; the calls are captured by wrapping
 ``harness.estimate_trials``.  Digests are cut to 16 hex digits.  Two
 checkouts print the same lines exactly when the figures' CSV bytes and
-every estimator output bit agree.
+every estimator output bit agree.  failed counts the trials that did
+not converge, and below_cap those of them that are not singular and
+stopped below the default ``EstimatorConfig().max_iterations``: trials
+whose line search stalled, or that left by an exit that names no cause.
 """
 
 import argparse
@@ -54,11 +57,13 @@ def _import_harness(src: pathlib.Path):
 def digest_lines(src, seeds, trials):
     """One line per figure and seed, in that order."""
     harness = _import_harness(pathlib.Path(src).resolve())
+    cap = harness.EstimatorConfig().max_iterations
     original = harness.estimate_trials
     lines = []
     for name in FIGURES:
         for seed in seeds:
             hashes = {key: hashlib.sha256() for key in OUTPUTS}
+            counts = {"failed": 0, "below_cap": 0}
 
             def record(*args, **kwargs):
                 out = original(*args, **kwargs)
@@ -66,6 +71,9 @@ def digest_lines(src, seeds, trials):
                     a = np.ascontiguousarray(a)
                     hashes[key].update(f"{a.dtype}{a.shape}".encode())
                     hashes[key].update(a.tobytes())
+                _, iterations, converged, singular = out
+                counts["failed"] += int(np.sum(~converged))
+                counts["below_cap"] += int(np.sum(~converged & ~singular & (iterations < cap)))
                 return out
 
             harness.estimate_trials = record
@@ -76,6 +84,7 @@ def digest_lines(src, seeds, trials):
             text = harness.csv_text(table)
             fields = [f"csv={hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}"]
             fields += [f"{key}={hashes[key].hexdigest()[:16]}" for key in OUTPUTS]
+            fields += [f"{key}={n}" for key, n in counts.items()]
             lines.append(f"fig{name} seed={seed} " + " ".join(fields))
     return lines
 

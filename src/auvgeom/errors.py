@@ -2,8 +2,8 @@
 
 Every error raised by the library is a subclass of :class:`AuvgeomError`,
 so callers can catch the whole family with one clause.  Conditions that a
-Monte-Carlo run must survive (a diverging estimate, a non-converging line
-search) are reported through result flags instead of exceptions; the
+Monte-Carlo run must survive (a singular, capped or stalled estimate)
+are reported through result flags instead of exceptions; the
 classes below cover the cases where no meaningful result exists.
 """
 

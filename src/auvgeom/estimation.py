@@ -31,12 +31,14 @@ A sample stops in one of two places.  The first comes before the line
 search: its normal matrix is singular; or the Newton decrement of its
 undamped step, delta . J^T W r, the whitened-cost decrease that step
 predicts, falls below DECREMENT_TOL, and it takes that step and is
-done; or its damped step runs away past DIVERGENCE_SPAN_FACTOR anchor
-spans.  The final step is taken because the iterate that passed the
+done.  The final step is taken because the iterate that passed the
 decrement test still sits up to one step from the solution: stopping
 without it leaves noiseless solves millimetres from the truth.  The
 second comes after the line search: the accepted step is no longer
 than ``position_tolerance``, or the line search rejected every scale.
+A damped step longer than STEP_SPAN_FACTOR anchor spans is clipped to
+that length (a trust-region bound, Nocedal & Wright 2006, ch. 4), and
+the line search accepts a scale whose cost does not exceed the iterate's.
 
 A sample iterates at most ``max_iterations`` times, counted from when
 it enters the active set.  The samples come in blocks, one per
@@ -63,7 +65,7 @@ bit: padded terms enter every sum as exact zeros, set rather than
 multiplied because a pair may be NaN, and x + 0.0 == x; the two sums
 along the anchors, the whitened cost (N timing terms, then the depth
 term) and the line search's frozen-weight cost (N terms), add in anchor
-order.  The start point and the runaway span come from the sample's own
+order.  The start point and the step bound come from the sample's own
 anchors, and the kernel and the noise model work pair by pair.
 
 The normal equations are solved in closed form: one cofactor pass over
@@ -102,13 +104,7 @@ from .geometry import SoundSpeedProfile
 DEPTH_NOISE_VAR = 1.0  # m^2, depth-sensor error variance
 
 BACKTRACK_LIMIT = 15
-DIVERGENCE_SPAN_FACTOR = 10.0
-# Rounding noise on the whitened cost: travel times carry a few 1e-15 s
-# of absolute error, and dividing by millisecond sigmas lifts that to
-# ~1e-11 on the summed cost.  Accepting steps within this slack keeps
-# the line search from rejecting every move near the optimum; accepted
-# uphill drift is bounded by slack * max_iterations.
-SSE_SLACK = 1e-9
+STEP_SPAN_FACTOR = 10.0  # a step's bound, in anchor bounding-box diagonals
 # A sample whose undamped step predicts a whitened-cost decrease below
 # this stops after taking that step (Newton decrement, Boyd &
 # Vandenberghe 2004, section 9.5.1).  At 1e-4 the step moves the point
@@ -351,7 +347,7 @@ def _estimate_batch(
     depth = np.concatenate([d for _, d, _ in blocks])
     max_step = np.concatenate([
         np.broadcast_to(
-            DIVERGENCE_SPAN_FACTOR
+            STEP_SPAN_FACTOR
             * np.linalg.norm(p.max(axis=-2) - p.min(axis=-2), axis=-1),
             len(r),
         )
@@ -411,23 +407,24 @@ def _estimate_batch(
         # and is done
         final = np.sum(delta * acc[6:, pos].T, axis=1) < DECREMENT_TOL
         q[sub[final]] += delta[final]
-        # damping and the runaway test see the final samples too; they
-        # leave at the first exit, and their gamma is never read again
+        # first exit: the singular and decrement-final samples
+        singular[ids[bad]] = True
+        converged[sub[final]] = True
+        keep = ~final
+        pos, sub, delta = pos[keep], sub[keep], delta[keep]
         reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
         g = gamma[sub]
         g = np.where(reversed_dir, np.maximum(g * 0.5, DAMPING_FLOOR), np.minimum(g * 2.0, 1.0))
         gamma[sub] = g
         delta *= g[:, None]
+        # the damped step, clipped to max_step; a zero step stays as it is
         step_norm = np.linalg.norm(delta, axis=1)
-        # first exit: the singular, decrement-final and runaway samples
-        leave = final | (step_norm > max_step[sub])
-        singular[ids[bad]] = True
-        converged[sub[final]] = True
-        keep = ~leave
-        pos, sub, delta, step_norm = pos[keep], sub[keep], delta[keep], step_norm[keep]
+        with np.errstate(divide="ignore"):
+            clip = np.minimum(1.0, max_step[sub] / step_norm)
+        delta *= clip[:, None]
+        step_norm *= clip
         frozen_s2 = sigma2[pos]
         ref_sse = cur_sse[pos]
-        limit = ref_sse + SSE_SLACK * (1.0 + ref_sse)
 
         # backtracking: take the first scale of _STEP_SCALES whose
         # frozen-weight cost does not worsen, one kernel call per group
@@ -448,7 +445,7 @@ def _estimate_batch(
             ok = _weighted_sse(
                 t_c, cand, win["rtt"][at, None, :w], depth[rs, None], frozen_s2[rest, None, :w],
                 w_depth, n_at,
-            ) <= limit[rest, None]
+            ) <= ref_sse[rest, None]
             found = ok.any(axis=1)
             first = ok[found].argmax(axis=1)
             pick = (np.flatnonzero(found), first)
@@ -490,7 +487,10 @@ def estimate_trials(
     equal-length lists; they run in order of N and at most the largest
     block's worth of trials iterates at once.  Returns (q_hat,
     iterations, converged, singular) over every block's trials in the
-    order given; singular trials are non-converged rather than raised.
+    order given.  These name why a trial did not converge, checked in
+    this order: singular (reported, never raised); iterations equal to
+    ``max_iterations``, the cap; otherwise stalled, the line search
+    having rejected every scale.
     """
     blocks = _blocks(rtt, depth, anchor_stack)
     for r, d, p in blocks:

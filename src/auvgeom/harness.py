@@ -6,7 +6,7 @@ model, and a trial budget under a master seed.  Sweeps vary one axis
 over a list of values for one or more named schemes and produce a flat
 result table that exports to CSV and SVG.
 
-Reproducibility contract 4: a cell (one scheme at one axis value) runs
+Reproducibility contract 5: a cell (one scheme at one axis value) runs
 whole in one task and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
@@ -15,15 +15,15 @@ same deviates.  A task is one cell, or a group of cells that share a
 sound-speed profile and noise model and whose trials go through one
 estimator call whatever their anchor counts (see ``_task_groups``); the
 Gauss-Newton trajectories of different trials are independent, so
-grouping moves no byte.  Contracts 2 to 4 draw the same streams; rows
-moved at 3 with the estimator's Newton-decrement stop and at 4, by about
-1e-9, with the rational ray kernel.  Contract 1 seeded each trial alone.
-Rows from Monte-Carlo runs report the depth-augmented CRLB trace
-averaged over the per-trial geometry, matching what the estimator (which
-also uses the depth sensor) can attain; a cell with a static AUV and
-one shared layout evaluates its one geometry once.  Radius-scale sweep
-rows skip the Monte-Carlo part and carry the closed-form timing-only
-trace.
+grouping moves no byte.  Contracts 2 to 5 draw the same streams; rows
+moved at 3 (Newton-decrement stop) and 4 (1e-9, rational ray kernel); at
+5 only cells whose step hit the span bound move.  Contract 1 seeded each
+trial alone.  Rows from Monte-Carlo runs report the depth-augmented CRLB
+trace averaged over the per-trial geometry, matching what the estimator
+(which also uses the depth sensor) can attain; a cell with a static AUV
+and one shared layout evaluates its one geometry once.  Radius-scale
+sweep rows skip the Monte-Carlo part and carry the closed-form
+timing-only trace.
 
 Row is the CSV schema: the header, each row line and load_csv's parse
 follow its fields in order, bar the note, which a failed cell carries in
@@ -212,7 +212,7 @@ class ResultTable:
 _TYPES = {"str": str, "int": int, "float": float}
 _COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(Row) if f.name != "note")
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-CSV_CONTRACT = "# contract 4"  # contract the rows were drawn under; files without it are 1
+CSV_CONTRACT = "# contract 5"  # contract the rows were drawn under; files without it are 1
 _NOTE = "# note: "  # prefix of the line that carries a row's note
 
 

@@ -25,7 +25,7 @@ def test_two_runs_print_the_same_four_lines(capsys):
     first, second = runs
     assert first == second
     keys = ("csv", "q", "iterations", "converged", "singular")
-    fields = " ".join(f"{key}=[0-9a-f]{{16}}" for key in keys)
+    fields = " ".join(f"{key}=[0-9a-f]{{16}}" for key in keys) + r" failed=\d+ below_cap=\d+"
     assert [line.split(" ", 1)[0] for line in first] == ["fig4a", "fig4b", "fig5", "fig6"]
     for line in first:
         assert re.fullmatch(rf"fig\w+ seed=3 {fields}", line)

@@ -5,11 +5,12 @@ seed 0: fig3 as it is, and fig4a, fig5 and fig6 at 50 trials.  A change
 to the ray kernel, the noise model, the estimator or the harness that
 moves a single byte of a seeded result fails here, at one and at two
 sweep workers.  The digests pin the recorded files themselves.  The
-files are written under contract 4 (their "# contract 4" line): the
-rational ray kernel, and one bound per shared geometry.  fig3's rows are
-closed-form and have not moved since contract 3; only its contract line
-did.  A change that moves the bytes on purpose bumps that line, rewrites
-the files and updates the digests.
+files are written under contract 5 (their "# contract 5" line).
+Contracts 2 to 5 draw the same streams; at 5 only cells whose step hit
+the span bound move, here fig4a's random rows, and the other files
+changed only in their contract line.  fig3's rows are closed-form and
+have not moved since contract 3.  A change that moves the bytes on
+purpose bumps that line, rewrites the files and updates the digests.
 """
 
 import difflib
@@ -30,10 +31,10 @@ SPECS = {
 }
 
 SHA256 = {
-    "fig3": "12bc34d10df23a43dfaa3ef4486ab408954bcae3416f51d80931927cce8df75f",
-    "fig4a": "6a105049f4ecfa10848ff0344c4184eacca554a98eeae9f1d4b9f28063af086e",
-    "fig5": "d7e3cc42065d4bd7e8aeee926255ada434ac6e06f929983fb092945f5ebe6e22",
-    "fig6": "15b34653ac4a1f1ad87c625d3da0f8d0cbe515c8eb81531e48bae4c391ef0161",
+    "fig3": "012a8a053ec4c5dc2905463cae1a701803a7f767a71248cb42bb1c05317eea3c",
+    "fig4a": "c89d457cf09229165e73a6bcaa01a5f3ab7b82bc5fddf034977fbc4467190ca0",
+    "fig5": "2b9cc8294eab714d88148e3d372661556e37f7c4bbeef1946f873dd02daabd52",
+    "fig6": "db3d08cdd1f6396f21c70fbf96eae39c095e5598bbbf4b943f89960f27eea3f8",
 }
 
 

@@ -376,10 +376,10 @@ class TestTaskGroups:
         assert all(math.isfinite(r.rmse_m) for r in table.rows if not r.note)
 
     def test_cell_without_converged_trials_keeps_the_other_rows(self, monkeypatch, tmp_path):
-        # anchors drawn from a 1 m box, 70 m from the AUV: every trial's
-        # first step runs away, while the usc trials in the same call
-        # converge; both anchor counts share that call
-        tiny = Random(box=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), seed=None)
+        # anchors drawn from a 1 cm box, 70 m from the AUV: every trial's
+        # clipped steps leave it at the iteration cap, while the usc trials
+        # in the same call converge; both anchor counts share that call
+        tiny = Random(box=((0.0, 0.01),) * 3, seed=None)
         schemes = {"usc": Variant(deployment=Usc(n=8)), "tiny": Variant(deployment=tiny)}
         spec = replace(fig4a_spec(trials=20), values=(6.0, 8.0), schemes=schemes)
         calls = self.estimator_calls(monkeypatch)
