@@ -220,8 +220,8 @@ def _normal_sums(
     # per timing row: the 00, 11, 22, 01, 12 and 02 terms of J^T W J,
     # then those of J^T W r
     prod = np.empty((width, 9, batch))
-    # an overflowed variance gives NaN residuals, screened out as singular
-    with np.errstate(invalid="ignore", over="ignore"):
+    # an overflowed or underflowed variance gives non-finite sums, screened out as singular
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         np.divide(rows.transpose(1, 2, 0), sigma.T[:, None], out=design)
         np.divide(rtt - t, sigma, out=resid)
         np.multiply(design, design, out=prod[:, :3])

@@ -30,15 +30,15 @@ Fisher information matrix for the AUV position is
 where row i of J is the gradient above for anchor i.
 
 ``_time_and_rows`` evaluates travel times, these rows and the slant
-ranges for any batch of anchor-AUV pairs in one pass, and
-``_variance_at`` turns ranges into timing variances.  They are the one
-source of all three for ``fim``, the Monte-Carlo harness's measurements
-and bound, and the estimator.  ``fim`` forms J^T Sigma^{-1} J from them,
-refuses a matrix whose condition number exceeds 1e12, and inverts the
-rest with LAPACK.  One rule judges both its single matrix, by one
-``eigvalsh`` that also gives the condition number it reports, and the
-estimator's stacks of normal matrices, where ``_condition_screen`` skips
-the solve for the matrices that a tr^3 / det bound clears.
+ranges for any batch of anchor-AUV pairs in one pass, ``_variance_at``
+turns ranges into timing variances, and ``_information`` is the one
+assembly of J^T Sigma^{-1} J, for ``fim`` and the harness bound.  The
+estimator's normal sums stay their own: anchor-ordered row sums over a
+padded window that carry the residual terms too, far faster there than
+a batched ``einsum``.  A matrix whose condition number exceeds 1e12 has
+no bound, by one rule: ``fim`` judges its one matrix by one ``eigvalsh``
+that also gives the condition number it reports, and the harness bound
+and the estimator screen their stacks by ``_condition_screen``.
 """
 
 from __future__ import annotations
@@ -196,6 +196,15 @@ def _variance_at(noise: NoiseModel, distance_l):
     return np.power(10.0, (noise.ke_db + a_db) / 10.0)
 
 
+def _information(rows: np.ndarray, sigma2: np.ndarray, depth_var: float | None = None):
+    # Fisher matrices (..., 3, 3) of rows (..., N, 3) under timing variances
+    # (..., N); a depth reading of variance depth_var adds 1/depth_var to zz
+    f = np.einsum("...ni,...nj->...ij", rows / sigma2[..., None], rows)
+    if depth_var is not None:
+        f[..., 2, 2] += 1.0 / depth_var
+    return f
+
+
 def noise_variance(noise: NoiseModel, distance_l: float) -> float:
     """Timing variance sigma^2 in s^2 at the given distance in meters."""
     if not distance_l > 0.0:
@@ -287,7 +296,7 @@ def fim(
             reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
         raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
-        f = rows.T @ (rows / _variance_at(noise, r)[:, None])
+        f = _information(rows, _variance_at(noise, r))
         f = 0.5 * (f + f.T)  # the product is symmetric only up to rounding
     cond = _condition_number(f)
     if not cond <= CONDITION_LIMIT:

@@ -20,8 +20,9 @@ moved at 3 (Newton-decrement stop) and 4 (1e-9, rational ray kernel); at
 5 only cells whose step hit the span bound move.  Contract 1 seeded each
 trial alone.  Rows from Monte-Carlo runs report the depth-augmented CRLB
 trace averaged over the per-trial geometry, matching what the estimator
-(which also uses the depth sensor) can attain; a cell with a static AUV
-and one shared layout evaluates its one geometry once.  Radius-scale
+(which also uses the depth sensor) can attain; the cond > 1e12 rule of
+``fim`` and the estimator leaves a geometry out (NaN if none is left),
+and a static AUV with one shared layout is one geometry.  Radius-scale
 sweep rows skip the Monte-Carlo part and carry the closed-form
 timing-only trace.
 
@@ -54,7 +55,7 @@ from .deployment import (
 )
 from .errors import AuvgeomError, EmptyTable, NoConvergedTrials
 from .estimation import DEPTH_NOISE_VAR, EstimatorConfig, estimate_trials
-from .fisher import NoiseModel, _time_and_rows, _variance_at, fim
+from .fisher import NoiseModel, _condition_screen, _information, _time_and_rows, _variance_at, fim
 from .geometry import Position, SoundSpeedProfile
 
 DIVERGENCE_FLAG_FRACTION = 0.05
@@ -249,28 +250,18 @@ def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float, int]:
 
 
 def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
-    """Mean over geometries of tr((F_tof + depth info)^-1), NaN-tolerant.
+    """Mean over geometries of tr((F_tof + depth info)^-1).
 
     rows and sigma2 are the Jacobian rows (G, N, 3) and timing variances
     (G, N) at the G distinct true geometries, one per trial or one in all.
-    A geometry whose matrix is not finite, or is exactly singular (an
-    infinite variance leaves only the depth row), has no bound and is
-    left out; a cell with none left reads NaN.
+    A matrix that is not finite or has cond > 1e12 (``_condition_screen``)
+    has no bound and is left out; a cell with none left reads NaN.
     """
-    f = np.einsum("tni,tnj->tij", rows / sigma2[..., None], rows)
-    f[:, 2, 2] += 1.0 / DEPTH_NOISE_VAR
     with np.errstate(all="ignore"):
-        ok = np.flatnonzero(np.all(np.isfinite(f), axis=(1, 2)))
-        traces = np.full(len(f), np.nan)
-        try:
-            traces[ok] = np.trace(np.linalg.inv(f[ok]), axis1=1, axis2=2)
-        except np.linalg.LinAlgError:
-            for i in ok:
-                try:
-                    traces[i] = np.trace(np.linalg.inv(f[i]))
-                except np.linalg.LinAlgError:
-                    pass
-    return float(np.nanmean(traces)) if not np.isnan(traces).all() else math.nan
+        f = _information(rows, sigma2, DEPTH_NOISE_VAR)
+        f = f[~_condition_screen(f)[0]]
+        traces = np.trace(np.linalg.inv(f), axis1=1, axis2=2)
+        return float(traces.mean()) if len(traces) else math.nan
 
 
 _MOVE_STREAM, _DEPLOY_STREAM, _NOISE_STREAM = range(3)
@@ -729,14 +720,17 @@ def fig4b_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
     return _fig4_spec(Position(100.0, 100.0, 100.0), master_seed, trials)
 
 
+def _mean_range(pts: np.ndarray, auv: np.ndarray) -> float:
+    # mean slant range from the AUV to an (N, 3) layout, in m
+    return float(np.linalg.norm(pts - auv, axis=1).mean())
+
+
 def _rescale_to_mean_range(
     anchors: list[Position], auv: Position, target_mean: float
 ) -> tuple[Position, ...]:
     a0 = auv.as_array()
     pts = np.array([p.as_array() for p in anchors])
-    ranges = np.linalg.norm(pts - a0, axis=1)
-    s = target_mean / ranges.mean()
-    scaled = a0 + s * (pts - a0)
+    scaled = a0 + target_mean / _mean_range(pts, a0) * (pts - a0)
     return tuple(Position(*row) for row in scaled)
 
 
@@ -751,11 +745,7 @@ def fig5_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
     noise = NoiseModel.constant_variance(1e-3)
     k5 = optimize_k(auv.z, 8, DEFAULT_SSP, noise).k_star
     usc = usc_positions(auv, 8, k5)
-    mean_range = float(
-        np.mean(
-            [np.linalg.norm(p.as_array() - auv.as_array()) for p in usc]
-        )
-    )
+    mean_range = _mean_range(np.array([p.as_array() for p in usc]), auv.as_array())
     center, side = default_cube_for(auv)
     cube = _rescale_to_mean_range(cube_positions(center, side, 8), auv, mean_range)
     rand = _rescale_to_mean_range(

@@ -326,7 +326,7 @@ def reference_fim(q, anchors, ssp, noise):
             reason = "grazing ray or |cos^2(theta) - sin^2(alpha)| below tolerance"
         raise DegenerateGeometry(f"anchor {i}: {reason}")
     with np.errstate(all="ignore"):
-        f = rows.T @ (rows / _variance_at(noise, r)[:, None])
+        f = np.einsum("...ni,...nj->...ij", rows / _variance_at(noise, r)[..., None], rows)
         f = 0.5 * (f + f.T)
     if _condition_screen(f)[0]:
         raise SingularFim(f"FIM not finite or condition number above {CONDITION_LIMIT:.0e}")

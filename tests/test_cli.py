@@ -522,9 +522,21 @@ def test_overflowing_noise_writes_one_stderr_line():
     assert proc.stderr.startswith("error: objective")
 
 
-def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path):
-    # the estimator whitens by an infinite sigma: no numpy warning may leak
-    argv = ["--set", "noise.ke_db=1e308", "--set", "deployment.kind=random",
+@pytest.mark.parametrize(
+    "noise",
+    [
+        pytest.param(["noise.ke_db=1e308"], id="ke_db_overflow"),
+        pytest.param(["noise.ke_db=-2.2e163"], id="ke_db_underflow"),
+        pytest.param(
+            ["noise.kind=constant_variance", "noise.sigma_ms=1e-170"], id="sigma_underflow"
+        ),
+    ],
+)
+def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path, noise):
+    # the bound and the estimator divide by an infinite or zero sigma: no
+    # numpy warning may leak
+    sets = [arg for leaf in noise for arg in ("--set", leaf)]
+    argv = [*sets, "--set", "deployment.kind=random",
             "--set", "trials=5", "--out", str(tmp_path), "simulate"]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -16,8 +16,8 @@ import pytest
 
 from auvgeom.deployment import default_box_for, random_layouts, usc_positions
 from auvgeom.errors import DegenerateGeometry, EmptyTable, SingularFim
-from auvgeom.estimation import estimate_trials
-from auvgeom.fisher import NoiseModel
+from auvgeom.estimation import DEPTH_NOISE_VAR, estimate_trials
+from auvgeom.fisher import NoiseModel, _time_and_rows, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom import harness
 from auvgeom.harness import (
@@ -320,6 +320,60 @@ class TestSharedGeometry:
         shapes = self.kernel_shapes(monkeypatch)
         sweep(fig6_spec(trials=50))
         assert shapes == [(50, 8)] * 12
+
+
+def augmented_bound(anchors, noise):
+    """c11's hand-built bound: tr((F + diag(0, 0, 1/DEPTH_NOISE_VAR))^-1)."""
+    f = fim(AUV, anchors, SSP, noise).fim.copy()
+    f[2, 2] += 1.0 / DEPTH_NOISE_VAR
+    return float(np.trace(np.linalg.inv(f)))
+
+
+class TestBound:
+    """A Monte-Carlo row's trace_crlb_m2 is the depth-augmented bound,
+    averaged over the geometries the cond <= 1e12 rule accepts."""
+
+    DD = NoiseModel.distance_dependent()
+
+    def test_static_cell_reads_the_hand_built_bound(self):
+        s = replace(small_scenario(trials=20), noise=self.DD)
+        want = augmented_bound(usc_positions(AUV, 8, 0.85), self.DD)
+        assert run_scenario(s).trace_crlb_m2 == pytest.approx(want, rel=1e-12)
+
+    def test_random_cell_reads_the_mean_of_its_layouts(self):
+        s = replace(small_scenario(trials=50, seed=3, deployment=Random(seed=None)), noise=self.DD)
+        dep = np.random.default_rng(np.random.SeedSequence([s.master_seed, 0], spawn_key=(1,)))
+        stack = random_layouts(default_box_for(AUV), 8, dep, s.trials)
+        want = np.mean([augmented_bound([Position(*p) for p in layout], self.DD)
+                        for layout in stack])
+        assert run_scenario(s).trace_crlb_m2 == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def usc_geometry():
+        layout = np.array([p.as_array() for p in usc_positions(AUV, 8, 0.85)])
+        _, rows, _ = _time_and_rows(AUV.as_array(), layout, SSP)
+        return rows, np.full(8, 1e-6)
+
+    def test_ill_conditioned_geometry_is_left_out(self):
+        rows, sigma2 = self.usc_geometry()
+        # F_tof = diag(1, 1e-14, 0): with the depth row, finite, invertible
+        # and cond 1e14, its trace 2 + 1e14
+        ill = np.zeros((8, 3))
+        ill[0, 0], ill[1, 1] = 1.0, 1e-7
+        f_ill = np.diag([1.0, 1e-14, 1.0 / DEPTH_NOISE_VAR])
+        assert np.linalg.cond(f_ill) == pytest.approx(1e14)
+        alone = harness._augmented_trace(rows[None], sigma2[None])
+        got = harness._augmented_trace(np.stack([rows, ill]), np.stack([sigma2, np.ones(8)]))
+        assert got == alone
+
+    def test_cell_with_every_geometry_refused_reads_nan(self):
+        # an overflowed variance leaves only the depth row, an underflowed
+        # one makes the matrix not finite
+        rows, _ = self.usc_geometry()
+        sigma2 = np.stack([np.full(8, np.inf), np.zeros(8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(harness._augmented_trace(np.stack([rows, rows]), sigma2))
 
 
 class TestTaskGroups:
