@@ -187,9 +187,10 @@ def _objective_error(k: float, value: float) -> ValueError:
     return ValueError(f"objective tr(CRLB)(k) is {value!r} at k={k!r}, not finite and positive")
 
 
-# overflow is silenced once per search: an errstate inside every
-# objective evaluation made the search about 50% slower
-@np.errstate(over="ignore")
+# overflow, and the log of a distance that underflows over l0, are
+# silenced once per search: an errstate inside every objective
+# evaluation made the search about 50% slower
+@np.errstate(over="ignore", divide="ignore")
 def optimize_k(
     z: float,
     n: int,
@@ -319,14 +320,24 @@ def default_box_for(auv: Position) -> tuple[tuple[float, float], ...]:
 
 def _degenerate(points: np.ndarray) -> np.ndarray:
     # per layout (..., n, 3): a coincident pair, or all anchors on one vertical
-    # plane (horizontally collinear), Fisher-singular for AUVs in that plane
+    # plane (horizontally collinear), Fisher-singular for AUVs in that plane.
+    # A pair closer than 1e-18 m^2 is closer than 1e-9 m in x, so only pairs
+    # within 2e-9 m of each other in x order are measured, in O(n) memory.
+    # Coordinates near the largest double overflow to inf or NaN, and the
+    # layout is judged on those without a warning
     n = points.shape[-2]
-    diff = points[..., :, None, :] - points[..., None, :, :]
-    dist2 = (diff * diff).sum(axis=-1).reshape(*points.shape[:-2], n * n)
-    dist2[..., :: n + 1] = np.inf  # the diagonal
-    xy = points[..., :2] - points[..., :2].mean(axis=-2, keepdims=True)
-    s = np.linalg.svd(xy, compute_uv=False)
-    return (dist2.min(axis=-1) < 1e-18) | (s[..., -1] < 1e-9 * (1.0 + s[..., 0]))
+    with np.errstate(all="ignore"):
+        s = np.take_along_axis(points, points[..., :1].argsort(axis=-2), axis=-2)
+        close = np.zeros(points.shape[:-2], dtype=bool)
+        for k in range(1, n):
+            diff = s[..., k:, :] - s[..., :-k, :]
+            near = diff[..., 0] < 2e-9
+            if not near.any():
+                break
+            close |= (near & ((diff * diff).sum(axis=-1) < 1e-18)).any(axis=-1)
+        xy = points[..., :2] - points[..., :2].mean(axis=-2, keepdims=True)
+        sv = np.linalg.svd(xy, compute_uv=False)
+    return close | (sv[..., -1] < 1e-9 * (1.0 + sv[..., 0]))
 
 
 def random_layouts(
@@ -348,9 +359,7 @@ def random_layouts(
     todo = np.arange(size)
     for _ in range(100):
         out[todo] = np.stack([rng.uniform(lo, hi, (len(todo), n)) for lo, hi in box], axis=-1)
-        step = max(1, 2**16 // (n * n))  # layouts per check: its arrays stay near 1.5 MB
-        bad = [_degenerate(out[todo[i:i + step]]) for i in range(0, len(todo), step)]
-        todo = todo[np.concatenate(bad)]
+        todo = todo[_degenerate(out[todo])]
         if not todo.size:
             return out
     raise DegenerateAfterRetries(f"{todo.size} random layouts still degenerate after 100 draws")

@@ -15,17 +15,19 @@ entry point; it starts every sample at its anchors' horizontal centroid,
 at the depth the sensor read.
 
 Each iteration backtracks on the cost with the weights frozen over one
-tuple of candidate scales: the full step is the first group, and the
-halved steps 1/2 .. 1/2**14 follow in groups of 1, 2, 4 and 7 scales.
-Each group is one broadcast kernel call over the samples still rejected,
-and a sample takes the first scale that passes.  The ray kernel's
-travel times and Jacobian rows at an accepted candidate become the next
-iterate's, so the kernel runs once on the starting points and then only
-on candidates, and the timing variances come from the slant ranges it
-returns.  A normal matrix counts as singular under the cond > 1e12 rule
-that ``fim`` applies to the Fisher matrix, screened by
-``fisher._condition_screen`` so that most of a stack skips the
-eigenvalue solve.
+tuple of candidate scales: the full step, then the halved steps 1/2 ..
+1/2**14 in groups of 1, 2, 4 and 7 scales; a sample takes the first
+scale that passes.  The full step is one kernel call over the whole
+window (below), made on the window's own arrays: a sample that stopped
+before it steps by zero and its candidate is discarded.  Each halving
+group is one broadcast kernel call over the samples still rejected.
+The kernel's travel times and Jacobian rows at an accepted candidate
+become the next iterate's, so the kernel runs once on the starting
+points and then only on candidates, and the timing variances come from
+the slant ranges it returns.  A normal matrix counts as singular under
+the cond > 1e12 rule that ``fim`` applies to the Fisher matrix,
+screened by ``fisher._condition_screen`` so that most of a stack skips
+the eigenvalue solve.
 
 A sample stops in one of two places.  The first comes before the line
 search: its normal matrix is singular; or the Newton decrement of its
@@ -41,26 +43,30 @@ that length (a trust-region bound, Nocedal & Wright 2006, ch. 4), and
 the line search accepts a scale whose cost does not exceed the iterate's.
 
 A sample iterates at most ``max_iterations`` times, counted from when
-it enters the active set.  The samples come in blocks, one per
-Monte-Carlo cell, and at most as many samples as the largest block
-holds are active at once: the window.  The first window's worth enter
-at the start, and each iteration admits waiting samples in order until
-the window is full again.  A sample's trajectory depends only on its
-own inputs, so the window moves no output bit; it lets a caller put
-several cells through one call, whose long tails of a few slow samples
-then share one loop, while the per-iteration arrays stay one cell in
-size.  The kernel first sees a sample when it is admitted, so no array
-outgrows the window.
+it enters the window.  The samples come in blocks, one per Monte-Carlo
+cell, and at most as many samples as the largest block holds are
+active at once: the window.  An active sample lives in one slot of it,
+which holds its per-pair arrays (travel times, anchors, and the
+kernel's travel times, rows and slant ranges at its point) and its own
+state (point, depth reading, step bound, damping factor, previous step
+and iteration count); its outputs are written once, when it leaves.
+The first window's worth enter at the start.  While samples wait, each
+that leaves hands its slot to the next, in order, written in place;
+once none waits, the window drops the slots that empty.  A sample's
+trajectory depends only on its own inputs, so neither the window nor
+its slot moves an output bit; the window lets a caller put several
+cells through one call, whose long tails of a few slow samples then
+share one loop, while the per-iteration arrays stay one cell in size.
 
 The blocks of one call may differ in anchor count.  ``estimate_trials``
 runs them in order of anchor count, stably, and returns its outputs in
-the caller's order.  The active samples sit in window arrays, in order
-of admission, padded to the widest count among them; with the blocks
-sorted, only the tails of the narrower blocks are ever padded.  A
-block's anchors are (N, 3) shared or one layout per sample; either way
-each admitted sample gets its own row of the window.  A padded slot
+the caller's order.  The per-pair arrays are padded to the widest count
+admitted so far, a width that only grows; with the blocks sorted, only
+the tails of the narrower blocks are ever padded, and per-sample state
+never is.  A block's anchors are (N, 3) shared or one layout per
+sample; either way each slot holds its own copy.  A padded column
 repeats the sample's last anchor, so the kernel and the noise model see
-only pairs they already see.  Padding and window order move no output
+only pairs they already see.  Padding and slot order move no output
 bit: padded terms enter every sum as exact zeros, set rather than
 multiplied because a pair may be NaN, and x + 0.0 == x; the two sums
 along the anchors, the whitened cost (N timing terms, then the depth
@@ -268,6 +274,9 @@ def _weighted_sse(
 # one block of samples: travel times (T, N), depth readings (T,) and the
 # anchors, (N, 3) shared by the block or (T, N, 3) per sample
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+# the window's per-pair arrays, padded along the anchor axis: travel
+# times, anchors, and the kernel's travel times, rows and slant ranges
+_PAIRS = ("rtt", "p", "t", "rows", "r")
 
 
 def _blocks(rtt, depth, anchors) -> list[_Block]:
@@ -289,25 +298,40 @@ def _pad(x: np.ndarray, width: int) -> np.ndarray:
     return x if n == width else x[:, np.minimum(np.arange(width), n - 1)]
 
 
-def _admit(blocks: list[_Block], starts: np.ndarray, lo: int, hi: int, width: int) -> dict:
-    """Window arrays of samples lo..hi-1: their indices, anchor counts,
-    travel times and anchors.
+def _admit(
+    blocks: list[_Block], starts: np.ndarray, lo: int, hi: int, width: int,
+    q0: np.ndarray, ssp: SoundSpeedProfile,
+) -> dict:
+    """Window slots of samples lo..hi-1, starting at their rows of q0.
 
-    Each sample's travel times and anchors are padded to width columns
-    with copies of its last anchor's, so every padded pair is one that
-    the kernel and the noise model already see.
+    A slot holds the sample's index, anchor count and per-pair arrays,
+    the kernel's at its start among them, padded to width columns or to
+    the samples' widest count if more by repeating its last anchor, so
+    every padded pair is one the kernel already sees.  It also holds the
+    sample's state: its point, depth reading and step bound, a damping
+    factor of 1, no previous step and no iterations.
     """
     parts = []
-    for (r, _, p), s in zip(blocks, starts):
+    for (r, d, p), s in zip(blocks, starts):
         a, b = max(lo - s, 0), min(hi - s, len(r))
         if a < b:
-            parts.append((r[a:b], np.broadcast_to(p, (len(r), *p.shape[-2:]))[a:b]))
-    return {
-        "ids": np.arange(lo, hi),
-        "counts": np.concatenate([np.full(len(r), r.shape[1]) for r, _ in parts]),
-        "rtt": np.concatenate([_pad(r, width) for r, _ in parts]),
-        "p": np.concatenate([_pad(p, width) for _, p in parts]),
+            parts.append((r[a:b], d[a:b], np.broadcast_to(p, (len(r), *p.shape[-2:]))[a:b]))
+    rtt, depth, p = zip(*parts)
+    counts = np.concatenate([np.full(len(r), r.shape[1]) for r in rtt])
+    w = counts.max()
+    width = max(width, w)
+    span = np.concatenate([np.linalg.norm(x.max(axis=-2) - x.min(axis=-2), axis=-1) for x in p])
+    new = {
+        "ids": np.arange(lo, hi), "counts": counts, "q": q0[lo:hi].copy(),
+        "depth": np.concatenate(depth), "max_step": STEP_SPAN_FACTOR * span,
+        "gamma": np.ones(hi - lo), "prev": np.zeros((hi - lo, 3)),
+        "iters": np.zeros(hi - lo, dtype=int),
+        "rtt": np.concatenate([_pad(r, width) for r in rtt]),
+        "p": np.concatenate([_pad(x, width) for x in p]),
     }
+    kernel = _time_and_rows(new["q"], new["p"][:, :w], ssp)
+    new["t"], new["rows"], new["r"] = (_pad(x, width) for x in kernel)
+    return new
 
 
 def _estimate_batch(
@@ -324,149 +348,121 @@ def _estimate_batch(
     rtt, depth and anchors are one block of samples or lists of blocks,
     as ``estimate_trials`` takes them, and ``q0`` the (batch, 3) starting
     points of every block's samples in order.  Returns (q, iterations,
-    converged, singular), in the same order.  A sample leaves the active
-    set at one of the two exits the module docstring names, or after
-    ``config.max_iterations`` iterations of its own; finished samples are
-    frozen while the rest continue.  At most the largest block's worth of
-    samples are active at once, the rest admitted in order as others
-    leave.  Blocks given in order of anchor count pad only the narrower
-    blocks' tails; any order gives the same output.
-
-    The active samples' travel times, anchors, and the kernel's travel
-    times, Jacobian rows and slant ranges at their current points are
-    kept in window arrays, in order of admission.  The kernel runs on a
-    sample's starting point when it is admitted, and afterwards only on
-    line-search candidates, whose output becomes the next iterate's when
-    the candidate is accepted.
+    converged, singular), in the same order, each written when its
+    sample leaves the window: at one of the two exits the module
+    docstring names, or after ``config.max_iterations`` iterations of
+    its own.  At most the largest block's worth of samples are active at
+    once, one per slot of the window.  Blocks given in order of anchor
+    count pad only the narrower blocks' tails; any order gives the same
+    output.  The full step's kernel outputs become the window's per-pair
+    arrays as they are; a halving group gathers the slots of the samples
+    it places and writes only theirs.
     """
     blocks = _blocks(rtt, depth, anchors)
     starts = np.cumsum([0] + [len(r) for r, _, _ in blocks])
     batch = int(starts[-1])
-    widest = max(r.shape[1] for r, _, _ in blocks)
     window = max(len(r) for r, _, _ in blocks)
-    depth = np.concatenate([d for _, d, _ in blocks])
-    max_step = np.concatenate([
-        np.broadcast_to(
-            STEP_SPAN_FACTOR
-            * np.linalg.norm(p.max(axis=-2) - p.min(axis=-2), axis=-1),
-            len(r),
-        )
-        for r, _, p in blocks
-    ])
     w_depth = 1.0 / DEPTH_NOISE_VAR
     sw = math.sqrt(w_depth)
 
-    q = np.array(q0, dtype=float)
+    q0 = np.asarray(q0, dtype=float)
+    q = q0.copy()
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
-    gamma = np.ones(batch)
-    prev_step = np.zeros((batch, 3))
-    admitted = 0
-    # the active samples in order of admission: their indices and
-    # counts, then their travel times, the anchors, and the kernel's
-    # travel times, rows and slant ranges at their points, padded to widest
-    win = {
-        "ids": np.zeros(0, dtype=int),
-        "counts": np.zeros(0, dtype=int),
-        "rtt": np.empty((0, widest)),
-        "t": np.empty((0, widest)),
-        "rows": np.empty((0, widest, 3)),
-        "r": np.empty((0, widest)),
-        "p": np.empty((0, widest, 3)),
-    }
+    if not batch:
+        return q, iterations, converged, singular
+    win = _admit(blocks, starts, 0, window, 0, q0, ssp)
+    admitted = window
 
-    while True:
-        # refill the active set up to the window, in the given order
-        fill = min(window - len(win["ids"]), batch - admitted)
-        if fill:
-            new = _admit(blocks, starts, admitted, admitted + fill, widest)
-            w = new["counts"].max()
-            kernel = _time_and_rows(q[admitted : admitted + fill], new["p"][:, :w], ssp)
-            new["t"], new["rows"], new["r"] = (_pad(x, widest) for x in kernel)
-            win = {k: np.concatenate((v, new[k])) for k, v in win.items()}
-            admitted += fill
-        ids, counts = win["ids"], win["counts"]
-        if not ids.size:
-            break
-        width = counts.max()
+    while win["ids"].size:
+        counts, q_w = win["counts"], win["q"]
         with np.errstate(over="ignore"):
-            sigma2 = _variance_at(noise, win["r"][:, :width])
+            sigma2 = _variance_at(noise, win["r"])
         acc, cur_sse = _normal_sums(
-            win["rows"][:, :width], win["t"][:, :width], win["rtt"][:, :width], depth[ids],
-            q[ids], sigma2, sw, counts,
+            win["rows"], win["t"], win["rtt"], win["depth"], q_w, sigma2, sw, counts
         )
         delta, bad = _normal_steps(acc)
-        # window positions of the samples that take a step; a singular
-        # sample's step is garbage and goes no further
-        pos = np.flatnonzero(~bad)
-        sub, delta = ids[pos], delta[pos]
-        iterations[sub] += 1
-        # Newton decrement delta . J^T W r, the cost decrease the undamped
-        # step predicts: below DECREMENT_TOL the sample takes that step
-        # and is done
-        final = np.sum(delta * acc[6:, pos].T, axis=1) < DECREMENT_TOL
-        q[sub[final]] += delta[final]
-        # first exit: the singular and decrement-final samples
-        singular[ids[bad]] = True
-        converged[sub[final]] = True
-        keep = ~final
-        pos, sub, delta = pos[keep], sub[keep], delta[keep]
-        reversed_dir = np.einsum("bi,bi->b", prev_step[sub], delta) < 0.0
-        g = gamma[sub]
-        g = np.where(reversed_dir, np.maximum(g * 0.5, DAMPING_FLOOR), np.minimum(g * 2.0, 1.0))
-        gamma[sub] = g
-        delta *= g[:, None]
-        # the damped step, clipped to max_step; a zero step stays as it is
-        step_norm = np.linalg.norm(delta, axis=1)
-        with np.errstate(divide="ignore"):
-            clip = np.minimum(1.0, max_step[sub] / step_norm)
-        delta *= clip[:, None]
-        step_norm *= clip
-        frozen_s2 = sigma2[pos]
-        ref_sse = cur_sse[pos]
+        go = ~bad
+        win["iters"] += go
+        # the full step, over the whole window: a singular sample's step is
+        # garbage, so it and each decrement-final sample step by zero, and
+        # their candidates are discarded
+        with np.errstate(all="ignore"):
+            # Newton decrement delta . J^T W r, the cost decrease the
+            # undamped step predicts: below DECREMENT_TOL the sample takes
+            # that step and is done
+            final = go & (np.sum(delta * acc[6:].T, axis=1) < DECREMENT_TOL)
+            q_w[final] += delta[final]
+            go &= ~final
+            reversed_dir = np.einsum("bi,bi->b", win["prev"], delta) < 0.0
+            g = win["gamma"]
+            g = np.where(reversed_dir, np.maximum(g * 0.5, DAMPING_FLOOR), np.minimum(g * 2.0, 1.0))
+            win["gamma"] = g
+            delta *= g[:, None]
+            # the damped step, clipped to max_step; a zero step stays as it is
+            step_norm = np.linalg.norm(delta, axis=1)
+            clip = np.minimum(1.0, win["max_step"] / step_norm)
+            delta *= clip[:, None]
+            step_norm *= clip
+            delta[~go] = 0.0
+            cand = q_w + delta
+            win["t"], win["rows"], win["r"] = _time_and_rows(cand, win["p"], ssp)
+            sse = _weighted_sse(win["t"], cand, win["rtt"], win["depth"], sigma2, w_depth, counts)
+        ok = go & (sse <= cur_sse)
+        q_w[ok] = cand[ok]
 
-        # backtracking: take the first scale of _STEP_SCALES whose
-        # frozen-weight cost does not worsen, one kernel call per group
-        # over the samples it still has to place, padded to the widest
-        # of them; scale 0 marks a sample that every scale failed
-        base = q[sub]
-        scale = np.zeros(len(sub))
-        rest = np.arange(len(sub))
-        for scales in _STEP_SCALES:
+        # backtracking: the rest take the first halved scale of
+        # _STEP_SCALES whose frozen-weight cost does not worsen, one kernel
+        # call per group over the samples it still has to place, padded to
+        # the widest of them; scale 0 marks a sample that every scale failed
+        scale = ok.astype(float)
+        rest = np.flatnonzero(go & ~ok)
+        for scales in _STEP_SCALES[1:]:
             if not rest.size:
                 break
-            at = pos[rest]
-            n_at = counts[at]
+            n_at = counts[rest]
             w = n_at.max()
-            cand = base[rest, None] + scales[:, None] * delta[rest, None]
-            t_c, rows_c, r_c = _time_and_rows(cand, win["p"][at, None, :w], ssp)
-            rs = sub[rest]
+            cand = q_w[rest, None] + scales[:, None] * delta[rest, None]
+            t_c, rows_c, r_c = _time_and_rows(cand, win["p"][rest, None, :w], ssp)
             ok = _weighted_sse(
-                t_c, cand, win["rtt"][at, None, :w], depth[rs, None], frozen_s2[rest, None, :w],
-                w_depth, n_at,
-            ) <= ref_sse[rest, None]
+                t_c, cand, win["rtt"][rest, None, :w], win["depth"][rest, None],
+                sigma2[rest, None, :w], w_depth, n_at,
+            ) <= cur_sse[rest, None]
             found = ok.any(axis=1)
             first = ok[found].argmax(axis=1)
             pick = (np.flatnonzero(found), first)
-            hit = at[found]
-            q[rs[found]] = cand[pick]
+            hit = rest[found]
+            q_w[hit] = cand[pick]
             for key, x in (("t", t_c), ("rows", rows_c), ("r", r_c)):
                 win[key][hit, :w] = x[pick]
-            scale[rest[found]] = scales[first]
+            scale[hit] = scales[first]
             rest = rest[~found]
-        prev_step[sub] = scale[:, None] * delta
+        win["prev"] = scale[:, None] * delta
 
         # second exit: an accepted step no longer than position_tolerance,
         # or no decrease at float resolution (scale 0), which counts as
         # converged only if the damped step itself was that short; a
         # sample still going leaves unconverged at its iteration cap
         stalled = scale == 0
-        stop = stalled | (scale * step_norm <= config.position_tolerance)
-        converged[sub[stop]] = ~stalled[stop] | (step_norm[stop] <= config.position_tolerance)
-        stay = pos[~stop & (iterations[sub] < config.max_iterations)]
-        if len(stay) < len(ids):
-            win = {k: v[stay] for k, v in win.items()}
+        stop = go & (stalled | (scale * step_norm <= config.position_tolerance))
+        conv = final | (stop & (~stalled | (step_norm <= config.position_tolerance)))
+        free = np.flatnonzero(~go | stop | (win["iters"] >= config.max_iterations))
+        done = win["ids"][free]
+        q[done], iterations[done] = q_w[free], win["iters"][free]
+        converged[done], singular[done] = conv[free], bad[free]
+        # the leaving samples' slots go to waiting samples, in order, and
+        # the window drops those left over once none waits
+        fill = min(len(free), batch - admitted)
+        if fill:
+            new = _admit(blocks, starts, admitted, admitted + fill, win["p"].shape[1], q0, ssp)
+            for k in _PAIRS:
+                win[k] = _pad(win[k], new["p"].shape[1])
+            for k, v in new.items():
+                win[k][free[:fill]] = v
+            admitted += fill
+        if fill < len(free):
+            win = {k: np.delete(v, free[fill:], axis=0) for k, v in win.items()}
 
     return q, iterations, converged, singular
 

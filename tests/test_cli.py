@@ -550,6 +550,24 @@ def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path, noise):
     assert not caught, [str(w.message) for w in caught]
 
 
+def test_overflowing_box_simulate_writes_one_stderr_line(tmp_path):
+    # anchors drawn across a box 1e300 m wide lie in one vertical plane
+    # at float resolution, so every draw is refused: exit 3, one error
+    # line and no numpy warning
+    argv = ["--set", "deployment.box=[[0, 1e300], [0, 1], [0, 1]]",
+            "--set", "deployment.kind=random", "--set", "trials=5",
+            "--out", str(tmp_path), "simulate"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code == 3
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert err.getvalue().startswith("error: DegenerateAfterRetries: ")
+    assert not caught, [str(w.message) for w in caught]
+
+
 # numeric config leaves the fuzz test assigns finite doubles to
 FLOAT_LEAVES = (
     "ssp.surface_speed_b",
@@ -597,6 +615,16 @@ commands = st.sampled_from((("crlb",), ("optimize-k",), ("optimize-k", "--grid")
 )
 @example(["ssp.steepness_a=4e257", "deployment.kind=random", "deployment.seed=4"], ("crlb",))
 @example(["optimizer.initial_k=1e-139", "optimizer.fd_step_h=1e-193"], ("optimize-k",))
+# a slant range that underflows over l0 (log10 of 0), squared anchor
+# offsets past the largest double, and a mean of coordinates that overflows
+@example(["auv=[0, 0, 5e-324]", "deployment.kind=usc"], ("optimize-k",))
+@example(["auv=[0, 0, 5e-324]"], ("crlb",))
+@example(
+    ["auv=[0, 0, 1e300]", "deployment.kind=random", "deployment.seed=1",
+     "noise.kind=constant_variance"],
+    ("crlb",),
+)
+@example(["auv=[1e308, 1e308, 50]", "deployment.kind=random", "deployment.seed=1"], ("crlb",))
 def test_any_finite_config_exits_cleanly(assignments, command):
     argv = [arg for a in assignments for arg in ("--set", a)] + list(command)
     out, err = io.StringIO(), io.StringIO()

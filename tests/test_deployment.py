@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from oracles import (
     reference_grid_search_k,
     reference_grid_values,
     reference_k_objective,
+    reference_degenerate,
     reference_optimize_k,
 )
 
@@ -570,6 +572,66 @@ class TestRandomPositions:
             for i, d in zip(idx, deployment._degenerate(np.stack([layouts[i] for i in idx]))):
                 batched[i] = bool(d)
         assert batched == decisions
+
+    @staticmethod
+    def planted_layouts():
+        # general-position layouts of 4 to 40 anchors, each with one pair
+        # moved 0.9e-9 or 1.1e-9 m apart along x, along y or along a
+        # seeded direction; some with runs of anchors that share one x
+        rng = np.random.default_rng(29)
+        layouts = []
+        for k in range(240):
+            n = int(rng.integers(4, 41))
+            points = rng.uniform(-50.0, 150.0, (n, 3))
+            i, j = rng.choice(n, 2, replace=False)
+            offset = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), rng.normal(size=3)][k % 3]
+            points[j] = points[i] + (0.9e-9, 1.1e-9)[k // 3 % 2] * offset / np.linalg.norm(offset)
+            if k % 4 == 3:
+                points[rng.choice(n, min(n, 5), replace=False), 0] = points[i, 0]
+            layouts.append(points)
+        return layouts
+
+    def test_degenerate_mask_matches_the_pairwise_oracle(self):
+        layouts = self.planted_layouts()
+        # horizontally collinear layouts, with and without a coincident pair
+        rng = np.random.default_rng(30)
+        for n in (4, 9, 25):
+            t = rng.uniform(0.0, 100.0, n)
+            line = np.column_stack([10.0 + 3.0 * t, -5.0 + 0.5 * t, rng.uniform(0.0, 50.0, n)])
+            layouts.append(line)
+            twin = line.copy()
+            twin[1] = twin[0]
+            layouts.append(twin)
+        got = [bool(deployment._degenerate(p)) for p in layouts]
+        assert got == [bool(reference_degenerate(p)) for p in layouts]
+        assert any(got) and not all(got)
+        # one stack per anchor count decides the same
+        for n in {len(p) for p in layouts}:
+            idx = [i for i, p in enumerate(layouts) if len(p) == n]
+            stack = np.stack([layouts[i] for i in idx])
+            assert deployment._degenerate(stack).tolist() == [got[i] for i in idx]
+
+    def test_degenerate_mask_near_the_threshold(self):
+        # 0.9e-9 m apart is coincident and 1.1e-9 m is not, along any axis
+        base = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 10.0], [0.0, 100.0, 20.0], [70.0, 80.0, 5.0]])
+        for axis in range(3):
+            for gap, want in ((0.9e-9, True), (1.1e-9, False)):
+                points = np.vstack([base, base[1] + gap * np.eye(3)[axis]])
+                assert bool(deployment._degenerate(points)) is want
+                assert bool(reference_degenerate(points)) is want
+
+    def test_large_layout_draws_in_little_memory(self):
+        # the coincidence test measures only pairs close in x: drawing one
+        # layout of 2000 anchors stays far below the n x n x 3 difference
+        # array of 96 MB that an all-pairs test would build
+        tracemalloc.start()
+        try:
+            layout = random_layouts(self.BOX, 2000, np.random.default_rng(1), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layout.shape == (1, 2000, 3)
+        assert peak < 8e6, peak
 
 
 class TestDefaults:

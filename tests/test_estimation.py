@@ -525,6 +525,31 @@ class TestBatchMatchesReference:
         _, _, singular = self.check(rtt, depth, stack, SSP, noise, EstimatorConfig())
         assert singular == 10
 
+    def test_blocks_through_a_window_smaller_than_the_batch(self):
+        # fig4a's cube n=8 cell (one shared layout) and random n=8 cell (a
+        # layout per trial), cut into blocks of at most 40: 300 samples
+        # pass through a window of 40 slots, each leaving sample's slot
+        # refilled in place by the next waiting one, and the window
+        # compacts once none waits
+        spec = harness.fig4a_spec(master_seed=0, trials=150)
+        cells = [(scheme, n) for scheme in spec.schemes for n in spec.values]
+        inputs = figure_inputs(harness.fig4a_spec)
+        picked = [inputs[cells.index((scheme, 8.0))] for scheme in ("cube", "random")]
+        _, _, _, ssp, noise, config = picked[0]
+        rtt, depth, anchors = TestWindow.merged([args[:3] for args in picked], 40)
+        assert max(map(len, rtt)) == 40 and len(rtt) == 8
+        p_b = np.concatenate([np.broadcast_to(p, (len(r), 8, 3)) for r, p in zip(rtt, anchors)])
+        depth_all = np.concatenate(depth)
+        q0 = depth_anchored_start(depth_all, p_b)
+        got = _estimate_batch(rtt, depth, anchors, ssp, noise, config, q0)
+        want, _ = reference_estimate_batch(
+            np.concatenate(rtt), depth_all, p_b, ssp, noise, config, q0
+        )
+        for name, g, w in zip(TestWindow.NAMES, got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        # the cells reach the iteration cap as well as converging
+        assert want[2].any() and (want[1] == config.max_iterations).any()
+
 
 class TestStartPoint:
     def test_fig4a_usc_rmse_ignores_a_far_start(self):
