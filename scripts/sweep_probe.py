@@ -52,11 +52,11 @@ def parse_args(argv):
 def load_harness(src, name: str):
     """src/auvgeom imported as the package ``name``; returns its harness."""
     root = pathlib.Path(src).resolve() / "auvgeom"
+    if not (root / "__init__.py").is_file():
+        raise SystemExit(f"no auvgeom package under {src}")
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)]
     )
-    if spec is None:
-        raise SystemExit(f"no auvgeom package under {src}")
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)

@@ -353,23 +353,19 @@ def reference_diagonal_lower_bound(result):
     return float(np.sum(1.0 / diag))
 
 
-def reference_degenerate(points):
-    """deployment._degenerate of layouts (..., n, 3), one layout and pair at a time.
+def reference_degenerate(layout):
+    """deployment._degenerate of one layout (n, 3), pair by pair.
 
     A layout is degenerate when some pair's squared distance, dx*dx +
     dy*dy + dz*dz, is below 1e-18 m^2, or when its centred horizontal
     coordinates have a smallest singular value below 1e-9 (1 + largest).
     """
-    flat = np.asarray(points, dtype=float).reshape(-1, *np.shape(points)[-2:])
-    out = []
-    for layout in flat:
-        n = len(layout)
-        coincident = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                dx, dy, dz = (layout[i] - layout[j]).tolist()
-                coincident |= dx * dx + dy * dy + dz * dz < 1e-18
-        xy = layout[:, :2] - layout[:, :2].mean(axis=0)
-        s = np.linalg.svd(xy, compute_uv=False)
-        out.append(coincident or bool(s[-1] < 1e-9 * (1.0 + s[0])))
-    return np.array(out).reshape(np.shape(points)[:-2])
+    n = len(layout)
+    coincident = False
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy, dz = (layout[i] - layout[j]).tolist()
+            coincident |= dx * dx + dy * dy + dz * dz < 1e-18
+    xy = layout[:, :2] - layout[:, :2].mean(axis=0)
+    s = np.linalg.svd(xy, compute_uv=False)
+    return coincident or bool(s[-1] < 1e-9 * (1.0 + s[0]))

@@ -36,11 +36,11 @@ from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import Cube, Random, Scenario, Usc, _fixed_layout
 
 from oracles import (
+    reference_degenerate,
     reference_grid_formula,
     reference_grid_search_k,
     reference_grid_values,
     reference_k_objective,
-    reference_degenerate,
     reference_optimize_k,
 )
 
@@ -573,8 +573,7 @@ class TestRandomPositions:
                 batched[i] = bool(d)
         assert batched == decisions
 
-    @staticmethod
-    def planted_layouts():
+    def test_degenerate_mask_matches_the_pairwise_oracle(self):
         # general-position layouts of 4 to 40 anchors, each with one pair
         # moved 0.9e-9 or 1.1e-9 m apart along x, along y or along a
         # seeded direction; some with runs of anchors that share one x
@@ -589,10 +588,6 @@ class TestRandomPositions:
             if k % 4 == 3:
                 points[rng.choice(n, min(n, 5), replace=False), 0] = points[i, 0]
             layouts.append(points)
-        return layouts
-
-    def test_degenerate_mask_matches_the_pairwise_oracle(self):
-        layouts = self.planted_layouts()
         # horizontally collinear layouts, with and without a coincident pair
         rng = np.random.default_rng(30)
         for n in (4, 9, 25):
@@ -603,7 +598,7 @@ class TestRandomPositions:
             twin[1] = twin[0]
             layouts.append(twin)
         got = [bool(deployment._degenerate(p)) for p in layouts]
-        assert got == [bool(reference_degenerate(p)) for p in layouts]
+        assert got == [reference_degenerate(p) for p in layouts]
         assert any(got) and not all(got)
         # one stack per anchor count decides the same
         for n in {len(p) for p in layouts}:
@@ -618,7 +613,7 @@ class TestRandomPositions:
             for gap, want in ((0.9e-9, True), (1.1e-9, False)):
                 points = np.vstack([base, base[1] + gap * np.eye(3)[axis]])
                 assert bool(deployment._degenerate(points)) is want
-                assert bool(reference_degenerate(points)) is want
+                assert reference_degenerate(points) is want
 
     def test_large_layout_draws_in_little_memory(self):
         # the coincidence test measures only pairs close in x: drawing one
