@@ -384,14 +384,13 @@ def cmd_optimize_k(args: argparse.Namespace, cfg: dict) -> int:
         print(f"wrote {path}")
         if args.plot:
             svg_path = os.path.join(out, "ksweep.svg")
-            emit_plot(table, spec, svg_path)
+            emit_plot(table, svg_path)
             print(f"wrote {svg_path}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     out = _out_dir(args) or "."
-    spec = None
     comments = _metadata(cfg)
     if args.figure is not None:
         changed = (k for k, d in _LEAF_DEFAULTS.items() if _leaf(cfg, k) != d)
@@ -426,7 +425,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     print(f"wrote {path}")
     if args.plot:
         svg_path = os.path.join(out, f"{stem}.svg")
-        emit_plot(table, spec, svg_path)
+        emit_plot(table, svg_path)
         print(f"wrote {svg_path}")
     return 0
 

@@ -18,9 +18,9 @@ Each iteration backtracks on the cost with the weights frozen over one
 tuple of candidate scales: the full step, then the halved steps 1/2 ..
 1/2**14 in groups of 1, 2, 4 and 7 scales; a sample takes the first
 scale that passes.  The full step is one kernel call over the whole
-window (below), made on the window's own arrays: a sample that stopped
-before it steps by zero and its candidate is discarded.  Each halving
-group is one broadcast kernel call over the samples still rejected.
+window (below), on its own arrays, and none when no sample steps; a
+sample that stopped before it steps by zero, its candidate discarded.
+Each halving group is one kernel call over the samples still rejected.
 The kernel's travel times and Jacobian rows at an accepted candidate
 become the next iterate's, so the kernel runs once on the starting
 points and then only on candidates, and the timing variances come from
@@ -320,10 +320,11 @@ def _admit(
     counts = np.concatenate([np.full(len(r), r.shape[1]) for r in rtt])
     w = counts.max()
     width = max(width, w)
-    span = np.concatenate([np.linalg.norm(x.max(axis=-2) - x.min(axis=-2), axis=-1) for x in p])
+    with np.errstate(over="ignore"):
+        span = [np.linalg.norm(x.max(axis=-2) - x.min(axis=-2), axis=-1) for x in p]
     new = {
         "ids": np.arange(lo, hi), "counts": counts, "q": q0[lo:hi].copy(),
-        "depth": np.concatenate(depth), "max_step": STEP_SPAN_FACTOR * span,
+        "depth": np.concatenate(depth), "max_step": STEP_SPAN_FACTOR * np.concatenate(span),
         "gamma": np.ones(hi - lo), "prev": np.zeros((hi - lo, 3)),
         "iters": np.zeros(hi - lo, dtype=int),
         "rtt": np.concatenate([_pad(r, width) for r in rtt]),
@@ -406,9 +407,12 @@ def _estimate_batch(
             delta *= clip[:, None]
             step_norm *= clip
             delta[~go] = 0.0
-            cand = q_w + delta
-            win["t"], win["rows"], win["r"] = _time_and_rows(cand, win["p"], ssp)
-            sse = _weighted_sse(win["t"], cand, win["rtt"], win["depth"], sigma2, w_depth, counts)
+            cand, sse = q_w + delta, cur_sse
+            if go.any():  # else every sample leaves below, its slot refilled or dropped
+                win["t"], win["rows"], win["r"] = _time_and_rows(cand, win["p"], ssp)
+                sse = _weighted_sse(
+                    win["t"], cand, win["rtt"], win["depth"], sigma2, w_depth, counts
+                )
         ok = go & (sse <= cur_sse)
         q_w[ok] = cand[ok]
 
@@ -504,10 +508,11 @@ def estimate_trials(
     counts = np.concatenate([np.full(len(r), r.shape[1]) for r, _, _ in blocks])
     ids = np.argsort(counts, kind="stable")
     blocks = sorted(blocks, key=lambda b: b[0].shape[1])
-    q0 = np.concatenate([
-        np.column_stack((np.broadcast_to(p[..., :2].mean(axis=-2), (len(r), 2)), d))
-        for r, d, p in blocks
-    ])
+    with np.errstate(over="ignore"):
+        q0 = np.concatenate([
+            np.column_stack((np.broadcast_to(p[..., :2].mean(axis=-2), (len(r), 2)), d))
+            for r, d, p in blocks
+        ])
     q, iters, conv, singular = _estimate_batch(
         *(list(x) for x in zip(*blocks)), ssp, noise, config or EstimatorConfig(), q0
     )

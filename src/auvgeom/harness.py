@@ -11,20 +11,22 @@ whole in one task and draws its movement, deployment and noise streams,
 children of SeedSequence([master_seed, movement_seed]), once each as a
 block with a row per trial.  Results are byte-identical for any worker
 count without per-trial generators, and trial t of every scheme sees the
-same deviates.  A task is one cell, or a group of cells that share a
-sound-speed profile and noise model and whose trials go through one
-estimator call whatever their anchor counts (see ``_task_groups``); the
-Gauss-Newton trajectories of different trials are independent, so
-grouping moves no byte.  Contracts 2 to 5 draw the same streams; rows
-moved at 3 (Newton-decrement stop) and 4 (1e-9, rational ray kernel); at
-5 only cells whose step hit the span bound move.  Contract 1 seeded each
-trial alone.  Rows from Monte-Carlo runs report the depth-augmented CRLB
-trace averaged over the per-trial geometry, matching what the estimator
-(which also uses the depth sensor) can attain; the cond > 1e12 rule of
-``fim`` and the estimator leaves a geometry out (NaN if none is left),
-and a static AUV with one shared layout is one geometry.  Radius-scale
-sweep rows skip the Monte-Carlo part and carry the closed-form
-timing-only trace.
+same deviates.  A sweep builds each cell's scenario and blank row once.
+A task is one cell, or a group of cells that share a sound-speed profile
+and noise model and whose trials go through one estimator call whatever
+their anchor counts (see ``_task_groups``); the Gauss-Newton
+trajectories of different trials are independent, so grouping moves no
+byte.  ``_run_mc`` returns one record per cell (``_Cell``): its truths,
+bound, radius scale and estimates, which ``_mc_row`` reduces to the row.
+Contracts 2 to 5 draw the same streams; rows moved at 3 (Newton-decrement
+stop) and 4 (1e-9, rational ray kernel); at 5 only cells whose step hit
+the span bound move.  Contract 1 seeded each trial alone.  Rows from
+Monte-Carlo runs report the depth-augmented CRLB trace averaged over the
+per-trial geometry, matching what the estimator (which also uses the
+depth sensor) can attain; the cond > 1e12 rule of ``fim`` and the
+estimator leaves a geometry out (NaN if none is left), and a static AUV
+with one shared layout is one geometry.  Radius-scale sweep rows skip
+the Monte-Carlo part and carry the closed-form timing-only trace.
 
 Row is the CSV schema: the header, each row line and load_csv's parse
 follow its fields in order, bar the note, which a failed cell carries in
@@ -185,10 +187,6 @@ class SweepSpec:
             raise ValueError("axis values must be strictly increasing")
 
 
-# one sweep cell: (scheme, variant, axis value)
-_SweepCell = tuple[str, Variant, float]
-
-
 @dataclass(frozen=True)
 class Row:
     axis_name: str
@@ -297,17 +295,15 @@ def _measurements(
 
 
 class _Cell(NamedTuple):
-    """What a cell's row needs besides its estimates: the true positions,
-    (trials, 3) or one (1, 3) row, and the bound averaged over them."""
+    """A cell's record: the true positions, (trials, 3) or one (1, 3) row,
+    the bound averaged over them and the radius scale from ``_draw_cell``,
+    then the estimates (trials, 3) and converged mask from ``_run_mc``."""
 
     truth: np.ndarray
     trace: float
     k_used: float
-    n: int
-
-
-# a cell's (rmse, trace, diverged, k_used, n), or the error it failed with
-_CellResult = tuple[float, float, int, float, int] | AuvgeomError
+    q_hat: np.ndarray | None = None
+    converged: np.ndarray | None = None
 
 
 def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
@@ -342,10 +338,10 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
 
     dev = _cell_rng(s, _NOISE_STREAM).standard_normal((s.trials, n + 1))
     rtt, depth_meas, rows, sigma2 = _measurements(truth, anchor_stack, s.ssp, s.noise, dev)
-    return _Cell(truth, _augmented_trace(rows, sigma2), k_used, n), anchor_stack, rtt, depth_meas
+    return _Cell(truth, _augmented_trace(rows, sigma2), k_used), anchor_stack, rtt, depth_meas
 
 
-def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
+def _run_mc(cells: list[Scenario]) -> list[_Cell | AuvgeomError]:
     """One Monte-Carlo execution of a group of cells, in one estimator call.
 
     The cells share their sound-speed profile and noise model; their
@@ -353,10 +349,10 @@ def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
     on its own (``_draw_cell``); their trials then go through one
     ``estimate_trials`` call as one block per cell, in row order; the
     estimator orders the blocks by anchor count itself and iterates at
-    most the largest cell's worth of trials at a time.  Returns one
-    result per cell, in order.
+    most the largest cell's worth of trials at a time.  Returns, per cell
+    in order, its record with its estimates, or the error it failed with.
     """
-    out: list[_CellResult | _Cell] = []
+    out: list[_Cell | AuvgeomError] = []
     inputs = {}
     for i, s in enumerate(cells):
         try:
@@ -373,15 +369,13 @@ def _run_mc(cells: list[Scenario]) -> list[_CellResult]:
     )
     end = 0
     for i in inputs:
-        cell, trials = out[i], cells[i].trials
+        trials = cells[i].trials
         start, end = end, end + trials
         conv = converged[start:end]
         if not conv.any():
             out[i] = NoConvergedTrials(f"all {trials} trials failed to converge")
             continue
-        err2 = np.sum((q_hat[start:end] - cell.truth)[conv] ** 2, axis=1)
-        rmse_val = float(np.sqrt(err2.mean()))
-        out[i] = (rmse_val, cell.trace, int((~conv).sum()), cell.k_used, cell.n)
+        out[i] = out[i]._replace(q_hat=q_hat[start:end], converged=conv)
     return out
 
 
@@ -412,24 +406,26 @@ def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> R
     )
 
 
-def _mc_row(row: Row, result: _CellResult) -> Row:
-    if isinstance(result, AuvgeomError):
+def _mc_row(row: Row, cell: _Cell | AuvgeomError) -> Row:
+    if isinstance(cell, AuvgeomError):
         # every trial of a cell that converged on none diverged; other errors ran none
-        diverged = row.trials if isinstance(result, NoConvergedTrials) else 0
-        return replace(row, diverged=diverged, note=f"{type(result).__name__}: {result}")
-    rmse_val, trace, diverged, k_used, n = result
+        diverged = row.trials if isinstance(cell, NoConvergedTrials) else 0
+        return replace(row, diverged=diverged, note=f"{type(cell).__name__}: {cell}")
+    conv = cell.converged
+    err2 = np.sum((cell.q_hat - cell.truth)[conv] ** 2, axis=1)
     return replace(
-        row, n_anchors=n, k=k_used, rmse_m=rmse_val, trace_crlb_m2=trace, diverged=diverged
+        row, k=cell.k_used, rmse_m=float(np.sqrt(err2.mean())), trace_crlb_m2=cell.trace,
+        diverged=int((~conv).sum()),
     )
 
 
 def run_scenario(s: Scenario, axis_name: str = "single", axis_value: float = 0.0) -> Row:
     """Execute one scenario and summarize it as a table row."""
-    [result] = _run_mc([s])
-    if isinstance(result, AuvgeomError):
-        raise result
+    [cell] = _run_mc([s])
+    if isinstance(cell, AuvgeomError):
+        raise cell
     scheme = _scheme_label(s.deployment, s.movement)
-    return _mc_row(_blank_row(s, axis_name, axis_value, scheme), result)
+    return _mc_row(_blank_row(s, axis_name, axis_value, scheme), cell)
 
 
 def _scheme_label(dep: Deployment, move: Movement) -> str:
@@ -476,48 +472,51 @@ def _cell_scenario(spec: SweepSpec, variant: Variant, value: float) -> Scenario:
     return _apply_axis(s, spec.axis, value)
 
 
+# one sweep cell: its blank row and its scenario
+_SweepCell = tuple[Row, Scenario]
+
+
 def _sweep_one(spec: SweepSpec, cells: list[_SweepCell]) -> list[Row]:
-    """The rows of one task: a group of (scheme, variant, axis value) cells.
+    """The rows of one task: a group of cells.
 
     A failed cell becomes an annotated row; the others keep theirs.
     """
-    scenarios = [_cell_scenario(spec, variant, value) for _, variant, value in cells]
-    rows = [
-        _blank_row(s, spec.axis.value, value, scheme)
-        for s, (scheme, _, value) in zip(scenarios, cells)
-    ]
     if spec.axis is Axis.SCALE_K:
         # analytic rows: no Monte-Carlo, timing-only closed form
         out = []
-        for row, s in zip(rows, scenarios):
+        for row, s in cells:
             with np.errstate(over="ignore"):
                 trace = k_objective(row.axis_value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
             out.append(replace(row, k=row.axis_value, trace_crlb_m2=trace, trials=0))
         return out
-    return [_mc_row(row, result) for row, result in zip(rows, _run_mc(scenarios))]
+    return [_mc_row(row, cell) for (row, _), cell in zip(cells, _run_mc([s for _, s in cells]))]
 
 
 def _sweep_cells(spec: SweepSpec) -> list[_SweepCell]:
-    """Every (scheme, variant, axis value) cell, scheme-major: the row order."""
+    """Every cell, scheme-major: the row order."""
     schemes = spec.schemes or {_scheme_label(spec.base.deployment, spec.base.movement): Variant()}
-    return [(scheme, variant, value) for scheme, variant in schemes.items() for value in spec.values]
+    cells = []
+    for scheme, variant in schemes.items():
+        for value in spec.values:
+            s = _cell_scenario(spec, variant, value)
+            cells.append((_blank_row(s, spec.axis.value, value, scheme), s))
+    return cells
 
 
-def _task_groups(spec: SweepSpec, cells: list[_SweepCell]) -> list[list[int]]:
+def _task_groups(cells: list[_SweepCell]) -> list[list[int]]:
     """Indices into cells, one list per task, in the order of their first cell.
 
     Monte-Carlo cells that share a sound-speed profile and noise model
     form one task when any of them draws a layout per trial, whatever
     their anchor counts, so their iteration tails share one estimator
     loop.  Every other cell is a task of its own: merging ``fig5``'s
-    fixed-layout cells by profile and noise model was about 10% slower,
-    serial and on two workers.
+    fixed-layout cells by profile and noise model kept the bytes but
+    bought no speed (0.94-1.07 times the per-cell speed, serial and on
+    two workers), and slot refills raised ``mc_fig5_par``'s estimator
+    kernel calls from 191 to 216 and its peak RSS by 4%.
     """
-    if spec.axis is Axis.SCALE_K:
-        return [[i] for i in range(len(cells))]
-    scenarios = [_cell_scenario(spec, variant, value) for _, variant, value in cells]
-    keys = [(s.ssp, s.noise) for s in scenarios]
-    merged = {key for key, s in zip(keys, scenarios) if _draws_layouts(s)}
+    keys = [(s.ssp, s.noise) for _, s in cells]
+    merged = {key for key, (_, s) in zip(keys, cells) if _draws_layouts(s)}
     groups: list[list[int]] = []
     by_key: dict = {}
     for i, key in enumerate(keys):
@@ -538,7 +537,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
     are collected in a fixed order, and all randomness is seeded per cell.
     """
     cells = _sweep_cells(spec)
-    groups = _task_groups(spec, cells)
+    groups = _task_groups(cells)
 
     def task(group: list[int]) -> list[Row]:
         return _sweep_one(spec, [cells[i] for i in group])
@@ -628,20 +627,20 @@ def load_csv(path: str) -> ResultTable:
 
 
 _AXIS_LABEL = {
-    Axis.ANCHOR_COUNT: "number of anchors",
-    Axis.SIGMA_MS: "timing noise sigma [ms]",
-    Axis.STEEPNESS_A: "sound speed steepness [1/s]",
-    Axis.DELTA_METERS: "AUV displacement [m]",
-    Axis.SCALE_K: "radius scale k",
+    Axis.ANCHOR_COUNT.value: "number of anchors",
+    Axis.SIGMA_MS.value: "timing noise sigma [ms]",
+    Axis.STEEPNESS_A.value: "sound speed steepness [1/s]",
+    Axis.DELTA_METERS.value: "AUV displacement [m]",
+    Axis.SCALE_K.value: "radius scale k",
 }
 
 
-def emit_plot(table: ResultTable, spec: SweepSpec | None, path: str) -> None:
+def emit_plot(table: ResultTable, path: str) -> None:
     """Write an SVG chart of the table: one line per scheme.
 
     Plots RMSE when the table has any, otherwise the CRLB trace.  The
     y-axis switches to log scale when values span two decades or more.
-    spec None labels the x axis from the rows themselves.
+    The x axis is labelled by the rows' axis name, through _AXIS_LABEL.
     """
     if not table.rows:
         raise EmptyTable("nothing to plot")
@@ -655,13 +654,10 @@ def emit_plot(table: ResultTable, spec: SweepSpec | None, path: str) -> None:
         raise EmptyTable("no finite values to plot")
     ys = [y for data in series.values() for _, y in data]
     log_y = min(ys) > 0 and max(ys) / min(ys) >= 100.0
-    if spec is not None:
-        x_label = _AXIS_LABEL.get(spec.axis, spec.axis.value)
-    else:
-        x_label = table.rows[0].axis_name
+    axis_name = table.rows[0].axis_name
     svg = _svg.polyline_chart(
         [(name, data) for name, data in series.items()],
-        x_label=x_label,
+        x_label=_AXIS_LABEL.get(axis_name, axis_name),
         y_label="RMSE [m]" if use_rmse else "tr(CRLB) [m^2]",
         log_y=log_y,
     )

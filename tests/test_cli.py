@@ -523,21 +523,25 @@ def test_overflowing_noise_writes_one_stderr_line():
 
 
 @pytest.mark.parametrize(
-    "noise",
+    "leaves",
     [
-        pytest.param(["noise.ke_db=1e308"], id="ke_db_overflow"),
-        pytest.param(["noise.ke_db=-2.2e163"], id="ke_db_underflow"),
+        pytest.param(["noise.ke_db=1e308", "deployment.kind=random"], id="ke_db_overflow"),
+        pytest.param(["noise.ke_db=-2.2e163", "deployment.kind=random"], id="ke_db_underflow"),
         pytest.param(
-            ["noise.kind=constant_variance", "noise.sigma_ms=1e-170"], id="sigma_underflow"
+            ["noise.kind=constant_variance", "noise.sigma_ms=1e-170", "deployment.kind=random"],
+            id="sigma_underflow",
+        ),
+        pytest.param(
+            ["movement.kind=rs-usc", "movement.delta_meters=1e308"], id="rs_usc_far_drift"
         ),
     ],
 )
-def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path, noise):
-    # the bound and the estimator divide by an infinite or zero sigma: no
-    # numpy warning may leak
-    sets = [arg for leaf in noise for arg in ("--set", leaf)]
-    argv = [*sets, "--set", "deployment.kind=random",
-            "--set", "trials=5", "--out", str(tmp_path), "simulate"]
+def test_overflowing_noise_simulate_writes_one_stderr_line(tmp_path, leaves):
+    # the bound and the estimator divide by an infinite or zero sigma, or
+    # rebuild the circle around an AUV drifted past float range: no numpy
+    # warning may leak
+    sets = [arg for leaf in leaves for arg in ("--set", leaf)]
+    argv = [*sets, "--set", "trials=5", "--out", str(tmp_path), "simulate"]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:

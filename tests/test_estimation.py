@@ -446,10 +446,11 @@ def recorded_inputs(spec, cells):
         calls.append((r, d, p, ssp, noise, config))
         return original(rtt, depth, anchors, ssp, noise, config)
 
+    by_key = {(row.scheme, row.axis_value): (row, s) for row, s in harness._sweep_cells(spec)}
     harness.estimate_trials = record
     try:
-        for scheme, value in cells:
-            harness._sweep_one(spec, [(scheme, spec.schemes[scheme], value)])
+        for key in cells:
+            harness._sweep_one(spec, [by_key[key]])
     finally:
         harness.estimate_trials = original
     return calls
@@ -787,6 +788,22 @@ class TestWindow:
         estimate_trials(*self.merged(self.cells(noise), 16), SSP, noise)
         assert max(pairs) <= 16 * 8 * max(map(len, estimation._STEP_SCALES))
         assert sum(pairs) > 200 * 8
+
+    def test_no_full_step_when_no_sample_steps(self, monkeypatch):
+        # four coincident anchors make every sample singular on its first
+        # iteration: the kernel runs once, when the samples are admitted,
+        # and no full step follows
+        calls = []
+        kernel = estimation._time_and_rows
+        monkeypatch.setattr(
+            estimation, "_time_and_rows", lambda q, p, ssp: calls.append(len(q)) or kernel(q, p, ssp)
+        )
+        rtt, depth = np.full((5, 4), 0.04), np.full(5, 50.0)
+        _, iterations, converged, singular = estimate_trials(
+            rtt, depth, np.array([[30.0, 40.0, 0.0]] * 4), SSP, NOISE_1MS
+        )
+        assert singular.all() and not converged.any() and not iterations.any()
+        assert calls == [5]
 
     def test_blocks_must_come_in_equal_lists(self):
         rtt, depth = measure(USC8, NOISE_1MS, 3, seed=0)

@@ -404,7 +404,7 @@ class TestTaskGroups:
 
     def test_preset_groups(self):
         def groups(spec):
-            return _task_groups(spec, _sweep_cells(spec))
+            return _task_groups(_sweep_cells(spec))
 
         # fig4a and fig4b: usc, cube and random at every anchor count
         assert groups(fig4a_spec(trials=10)) == [list(range(15))]
@@ -556,17 +556,15 @@ class TestCsv:
 
 class TestPlot:
     def test_empty_table_raises(self, tmp_path):
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0,), base=small_scenario())
         with pytest.raises(EmptyTable):
-            emit_plot(ResultTable(rows=()), spec, str(tmp_path / "x.svg"))
+            emit_plot(ResultTable(rows=()), str(tmp_path / "x.svg"))
         all_nan = Row("sigma_ms", 1.0, "usc", 8, 0.85, float("nan"), float("nan"), 0, 10, 0)
         with pytest.raises(EmptyTable):
-            emit_plot(ResultTable(rows=(all_nan,)), spec, str(tmp_path / "y.svg"))
+            emit_plot(ResultTable(rows=(all_nan,)), str(tmp_path / "y.svg"))
 
     def test_svg_contains_series_and_labels(self, tmp_path):
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=small_scenario())
         path = str(tmp_path / "p.svg")
-        emit_plot(ResultTable(rows=ROWS), spec, path)
+        emit_plot(ResultTable(rows=ROWS), path)
         svg = open(path).read()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "usc" in svg
@@ -574,10 +572,9 @@ class TestPlot:
         assert "RMSE [m]" in svg
 
     def test_single_point_table_plots(self, tmp_path):
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0,), base=small_scenario())
         one = Row("sigma_ms", 1.0, "usc", 8, 0.85, 2.5, 6.0, 0, 10, 0)
         path = str(tmp_path / "one.svg")
-        emit_plot(ResultTable(rows=(one,)), spec, path)
+        emit_plot(ResultTable(rows=(one,)), path)
         assert "<svg" in open(path).read()
 
     def test_trace_plotted_when_no_rmse(self, tmp_path):
@@ -585,20 +582,30 @@ class TestPlot:
             Row("scale_k", v, "usc-n4", 4, v, float("nan"), 5.0 + v, 0, 0, 0)
             for v in (0.5, 1.0)
         )
-        spec = SweepSpec(axis=Axis.SCALE_K, values=(0.5, 1.0), base=small_scenario())
         path = str(tmp_path / "t.svg")
-        emit_plot(ResultTable(rows=rows), spec, path)
+        emit_plot(ResultTable(rows=rows), path)
         assert "tr(CRLB) [m^2]" in open(path).read()
 
     def test_wide_span_switches_to_log_axis(self, tmp_path):
         near = tuple(Row("sigma_ms", v, "usc", 8, 0.85, 1.0 + v, 1.0, 0, 10, 0) for v in (1.0, 2.0))
         wide = tuple(Row("sigma_ms", v, "usc", 8, 0.85, 10.0 ** v, 1.0, 0, 10, 0) for v in (0.0, 3.0))
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=small_scenario())
         p1, p2 = str(tmp_path / "lin.svg"), str(tmp_path / "log.svg")
-        emit_plot(ResultTable(rows=near), spec, p1)
-        emit_plot(ResultTable(rows=wide), spec, p2)
+        emit_plot(ResultTable(rows=near), p1)
+        emit_plot(ResultTable(rows=wide), p2)
         assert ">100<" not in open(p1).read()
         assert ">100<" in open(p2).read()
+
+
+    def test_loaded_table_plots_the_sweep_bytes(self, tmp_path):
+        # the x label comes from the rows, so a table read back from its
+        # CSV plots exactly what the sweep's own table does
+        table = sweep(fig4a_spec(trials=20))
+        csv, want, got = (str(tmp_path / name) for name in ("t.csv", "a.svg", "b.svg"))
+        export_csv(table, csv)
+        emit_plot(table, want)
+        emit_plot(load_csv(csv), got)
+        assert open(got, "rb").read() == open(want, "rb").read()
+        assert "number of anchors" in open(got).read()
 
 
 class TestFigurePresets:
