@@ -57,7 +57,6 @@ from .harness import (
     Static,
     SweepSpec,
     Usc,
-    Variant,
     csv_text,
     emit_plot,
     export_csv,

@@ -47,6 +47,7 @@ from .harness import (
     SweepSpec,
     Usc,
     _fixed_layout,
+    _scheme_label,
     _write_text,
     emit_plot,
     export_csv,
@@ -327,7 +328,7 @@ def _out_dir(args: argparse.Namespace) -> str | None:
 
 def cmd_crlb(args: argparse.Namespace, cfg: dict) -> int:
     scenario = _build_scenario(cfg)
-    anchors, _, _ = _fixed_layout(scenario)
+    anchors, _ = _fixed_layout(scenario)
     if anchors is None:
         raise ConfigError("crlb needs a deterministic layout: give the random deployment a seed")
     result = fim(scenario.auv_truth, anchors, scenario.ssp, scenario.noise)
@@ -369,15 +370,8 @@ def cmd_optimize_k(args: argparse.Namespace, cfg: dict) -> int:
         return 4
     out = _out_dir(args)
     if out is not None:
-        base = Scenario(
-            auv_truth=scenario.auv_truth,
-            deployment=Usc(scale_k=1.0, n=n),
-            ssp=scenario.ssp,
-            noise=scenario.noise,
-            trials=1,
-            master_seed=scenario.master_seed,
-        )
-        spec = SweepSpec(axis=Axis.SCALE_K, values=fig3_spec().values, base=base)
+        # radius-scale rows read the AUV, profile, noise model, n and seed alone
+        spec = SweepSpec(axis=Axis.SCALE_K, values=fig3_spec().values, schemes={"usc": scenario})
         table = sweep(spec)
         path = os.path.join(out, "ksweep.csv")
         export_csv(table, path, comments=_metadata(cfg))
@@ -414,8 +408,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
             values = cfg["sweep"]["values"]
             if not values:
                 raise ConfigError("sweep.values must list the axis points")
+            label = _scheme_label(scenario.deployment, scenario.movement)
             spec = SweepSpec(
-                axis=Axis(axis), values=tuple(float(v) for v in values), base=scenario
+                axis=Axis(axis), values=tuple(float(v) for v in values), schemes={label: scenario}
             )
             table = sweep(spec, workers=cfg["workers"])
         else:

@@ -352,12 +352,13 @@ def _estimate_batch(
     converged, singular), in the same order, each written when its
     sample leaves the window: at one of the two exits the module
     docstring names, or after ``config.max_iterations`` iterations of
-    its own.  At most the largest block's worth of samples are active at
-    once, one per slot of the window.  Blocks given in order of anchor
-    count pad only the narrower blocks' tails; any order gives the same
-    output.  The full step's kernel outputs become the window's per-pair
-    arrays as they are; a halving group gathers the slots of the samples
-    it places and writes only theirs.
+    its own; both exits need a regular normal matrix, so the converged
+    and singular masks are disjoint.  At most the largest block's worth
+    of samples are active at once, one per slot of the window.  Blocks
+    given in order of anchor count pad only the narrower blocks' tails;
+    any order gives the same output.  The full step's kernel outputs
+    become the window's per-pair arrays as they are; a halving group
+    gathers the slots of the samples it places and writes only theirs.
     """
     blocks = _blocks(rtt, depth, anchors)
     starts = np.cumsum([0] + [len(r) for r, _, _ in blocks])
@@ -517,4 +518,4 @@ def estimate_trials(
         *(list(x) for x in zip(*blocks)), ssp, noise, config or EstimatorConfig(), q0
     )
     back = np.argsort(ids)
-    return q[back], iters[back], (conv & ~singular)[back], singular[back]
+    return q[back], iters[back], conv[back], singular[back]

@@ -2,9 +2,9 @@
 
 A Scenario bundles one simulated world: the true AUV position, an
 anchor deployment rule, the sound profile, the noise model, a movement
-model, and a trial budget under a master seed.  Sweeps vary one axis
-over a list of values for one or more named schemes and produce a flat
-result table that exports to CSV and SVG.
+model, and a trial budget under a master seed.  A sweep names one
+scenario per scheme, varies one axis of each over a list of values and
+produces a flat result table that exports to CSV and SVG.
 
 Reproducibility contract 5: a cell (one scheme at one axis value) runs
 whole in one task and draws its movement, deployment and noise streams,
@@ -107,6 +107,10 @@ class FixedAnchors:
         if len(self.anchors) < 4:
             raise ValueError("need at least 4 anchors")
 
+    @property
+    def n(self) -> int:
+        return len(self.anchors)
+
 
 @dataclass(frozen=True)
 class Static:
@@ -166,21 +170,16 @@ class Axis(str, Enum):
 
 
 @dataclass(frozen=True)
-class Variant:
-    """Per-scheme overrides applied to the base scenario."""
-
-    deployment: Deployment | None = None
-    movement: Movement | None = None
-
-
-@dataclass(frozen=True)
 class SweepSpec:
+    """The axis values each named scheme's scenario is swept over."""
+
     axis: Axis
     values: tuple[float, ...]
-    base: Scenario
-    schemes: dict[str, Variant] | None = None
+    schemes: dict[str, Scenario]
 
     def __post_init__(self) -> None:
+        if not self.schemes:
+            raise ValueError("sweep needs at least one scheme")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -219,32 +218,29 @@ _NOTE = "# note: "  # prefix of the line that carries a row's note
 # scenario execution
 
 
-def _resolve_k(dep: Usc, s: Scenario) -> float:
-    if dep.scale_k is not None:
-        return dep.scale_k
-    return optimize_k(s.auv_truth.z, dep.n, s.ssp, s.noise).k_star
-
-
-def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float, int]:
+def _fixed_layout(s: Scenario) -> tuple[list[Position] | None, float]:
     """Anchors shared by all trials, or None when redrawn per trial.
 
-    Returns (anchors, k_used, n_anchors).
+    Returns (anchors, k_used): the radius scale is NaN but for a circle,
+    whose scale_k None is optimized for the scenario's depth and noise.
     """
     dep = s.deployment
     if isinstance(dep, Usc):
-        k = _resolve_k(dep, s)
-        return usc_positions(s.auv_truth, dep.n, k), k, dep.n
+        k = dep.scale_k
+        if k is None:
+            k = optimize_k(s.auv_truth.z, dep.n, s.ssp, s.noise).k_star
+        return usc_positions(s.auv_truth, dep.n, k), k
     if isinstance(dep, Cube):
         d_center, d_side = default_cube_for(s.auv_truth)
         side = dep.side if dep.side is not None else d_side
         center = dep.center if dep.center is not None else d_center
-        return cube_positions(center, side, dep.n), float("nan"), dep.n
+        return cube_positions(center, side, dep.n), math.nan
     if isinstance(dep, Random):
-        box = dep.box if dep.box is not None else default_box_for(s.auv_truth)
         if dep.seed is None:
-            return None, float("nan"), dep.n
-        return random_positions(box, dep.n, dep.seed), float("nan"), dep.n
-    return list(dep.anchors), float("nan"), len(dep.anchors)
+            return None, math.nan
+        box = dep.box if dep.box is not None else default_box_for(s.auv_truth)
+        return random_positions(box, dep.n, dep.seed), math.nan
+    return list(dep.anchors), math.nan
 
 
 def _augmented_trace(rows: np.ndarray, sigma2: np.ndarray) -> float:
@@ -317,7 +313,8 @@ def _draw_cell(s: Scenario) -> tuple[_Cell, np.ndarray, np.ndarray, np.ndarray]:
     and its estimator inputs: the anchor stack, the travel times and the
     depth readings.
     """
-    anchors0, k_used, n = _fixed_layout(s)
+    anchors0, k_used = _fixed_layout(s)
+    n = s.deployment.n
     move = s.movement
     truth = s.auv_truth.as_array()[None]
     if isinstance(move, (RmUsc, RsUsc)):
@@ -379,11 +376,6 @@ def _run_mc(cells: list[Scenario]) -> list[_Cell | AuvgeomError]:
     return out
 
 
-def _anchor_count(s: Scenario) -> int:
-    dep = s.deployment
-    return len(dep.anchors) if isinstance(dep, FixedAnchors) else dep.n
-
-
 def _draws_layouts(s: Scenario) -> bool:
     # whether the cell draws a layout per trial rather than sharing one
     dep = s.deployment
@@ -396,7 +388,7 @@ def _blank_row(s: Scenario, axis_name: str, axis_value: float, scheme: str) -> R
         axis_name=axis_name,
         axis_value=axis_value,
         scheme=scheme,
-        n_anchors=_anchor_count(s),
+        n_anchors=s.deployment.n,
         k=float("nan"),
         rmse_m=float("nan"),
         trace_crlb_m2=float("nan"),
@@ -463,15 +455,6 @@ def _apply_axis(s: Scenario, axis: Axis, value: float) -> Scenario:
     return replace(s, deployment=replace(s.deployment, scale_k=value))
 
 
-def _cell_scenario(spec: SweepSpec, variant: Variant, value: float) -> Scenario:
-    s = spec.base
-    if variant.deployment is not None:
-        s = replace(s, deployment=variant.deployment)
-    if variant.movement is not None:
-        s = replace(s, movement=variant.movement)
-    return _apply_axis(s, spec.axis, value)
-
-
 # one sweep cell: its blank row and its scenario
 _SweepCell = tuple[Row, Scenario]
 
@@ -485,20 +468,25 @@ def _sweep_one(spec: SweepSpec, cells: list[_SweepCell]) -> list[Row]:
         # analytic rows: no Monte-Carlo, timing-only closed form
         out = []
         for row, s in cells:
-            with np.errstate(over="ignore"):
-                trace = k_objective(row.axis_value, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
-            out.append(replace(row, k=row.axis_value, trace_crlb_m2=trace, trials=0))
+            k, row = row.axis_value, replace(row, trials=0)
+            try:
+                with np.errstate(over="ignore"):
+                    trace = k_objective(k, s.auv_truth.z, s.deployment.n, s.ssp, s.noise)
+            except AuvgeomError as e:
+                # a scene the closed form refuses, such as too few anchors
+                out.append(replace(row, note=f"{type(e).__name__}: {e}"))
+            else:
+                out.append(replace(row, k=k, trace_crlb_m2=trace))
         return out
     return [_mc_row(row, cell) for (row, _), cell in zip(cells, _run_mc([s for _, s in cells]))]
 
 
 def _sweep_cells(spec: SweepSpec) -> list[_SweepCell]:
     """Every cell, scheme-major: the row order."""
-    schemes = spec.schemes or {_scheme_label(spec.base.deployment, spec.base.movement): Variant()}
     cells = []
-    for scheme, variant in schemes.items():
+    for scheme, scene in spec.schemes.items():
         for value in spec.values:
-            s = _cell_scenario(spec, variant, value)
+            s = _apply_axis(scene, spec.axis, value)
             cells.append((_blank_row(s, spec.axis.value, value, scheme), s))
     return cells
 
@@ -674,21 +662,21 @@ DEFAULT_TRIALS = 2000
 
 def fig3_spec(master_seed: int = 0) -> SweepSpec:
     """CRLB trace against the radius scale for 4..8 anchors."""
-    base = Scenario(
+    scene = Scenario(
         auv_truth=Position(50.0, 50.0, 50.0),
-        deployment=Usc(scale_k=1.0, n=4),
+        deployment=Usc(scale_k=1.0),
         ssp=DEFAULT_SSP,
         noise=NoiseModel.distance_dependent(),
         trials=1,
         master_seed=master_seed,
     )
     values = tuple(round(0.5 + 0.05 * i, 2) for i in range(21))
-    schemes = {f"usc-n{n}": Variant(deployment=Usc(scale_k=1.0, n=n)) for n in range(4, 9)}
-    return SweepSpec(axis=Axis.SCALE_K, values=values, base=base, schemes=schemes)
+    schemes = {f"usc-n{n}": replace(scene, deployment=Usc(scale_k=1.0, n=n)) for n in range(4, 9)}
+    return SweepSpec(axis=Axis.SCALE_K, values=values, schemes=schemes)
 
 
 def _fig4_spec(auv: Position, master_seed: int, trials: int) -> SweepSpec:
-    base = Scenario(
+    scene = Scenario(
         auv_truth=auv,
         deployment=Usc(scale_k=None, n=4),
         ssp=DEFAULT_SSP,
@@ -697,13 +685,11 @@ def _fig4_spec(auv: Position, master_seed: int, trials: int) -> SweepSpec:
         master_seed=master_seed,
     )
     schemes = {
-        "usc": Variant(deployment=Usc(scale_k=None, n=4)),
-        "cube": Variant(deployment=Cube()),
-        "random": Variant(deployment=Random(seed=None)),
+        "usc": scene,
+        "cube": replace(scene, deployment=Cube()),
+        "random": replace(scene, deployment=Random(seed=None)),
     }
-    return SweepSpec(
-        axis=Axis.ANCHOR_COUNT, values=(4.0, 5.0, 6.0, 7.0, 8.0), base=base, schemes=schemes
-    )
+    return SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.0, 5.0, 6.0, 7.0, 8.0), schemes=schemes)
 
 
 def fig4a_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
@@ -716,53 +702,37 @@ def fig4b_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
     return _fig4_spec(Position(100.0, 100.0, 100.0), master_seed, trials)
 
 
-def _mean_range(pts: np.ndarray, auv: np.ndarray) -> float:
-    # mean slant range from the AUV to an (N, 3) layout, in m
-    return float(np.linalg.norm(pts - auv, axis=1).mean())
-
-
-def _rescale_to_mean_range(
-    anchors: list[Position], auv: Position, target_mean: float
-) -> tuple[Position, ...]:
+def _to_mean_range(anchors: list[Position], auv: Position, like: list[Position]):
+    """anchors scaled radially about the AUV to the mean slant range of like."""
     a0 = auv.as_array()
-    pts = np.array([p.as_array() for p in anchors])
-    scaled = a0 + target_mean / _mean_range(pts, a0) * (pts - a0)
-    return tuple(Position(*row) for row in scaled)
+    pts, ref = (np.array([p.as_array() for p in x]) for x in (anchors, like))
+    mean, target = (float(np.linalg.norm(x - a0, axis=1).mean()) for x in (pts, ref))
+    return tuple(Position(*row) for row in a0 + target / mean * (pts - a0))
 
 
 def fig5_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
     """RMSE against timing noise at matched mean anchor-AUV distance.
 
-    The three layouts are frozen up front and radially rescaled about
-    the AUV so each has the same mean anchor distance, which isolates
-    the geometry effect from the plain range effect.
+    The three layouts are frozen up front; cube and random are radially
+    rescaled about the AUV to the circle's mean anchor distance, which
+    isolates the geometry effect from the plain range effect.
     """
     auv = Position(50.0, 50.0, 50.0)
-    noise = NoiseModel.constant_variance(1e-3)
-    k5 = optimize_k(auv.z, 8, DEFAULT_SSP, noise).k_star
-    usc = usc_positions(auv, 8, k5)
-    mean_range = _mean_range(np.array([p.as_array() for p in usc]), auv.as_array())
-    center, side = default_cube_for(auv)
-    cube = _rescale_to_mean_range(cube_positions(center, side, 8), auv, mean_range)
-    rand = _rescale_to_mean_range(
-        random_positions(default_box_for(auv), 8, master_seed), auv, mean_range
-    )
-    base = Scenario(
+    scene = Scenario(
         auv_truth=auv,
-        deployment=FixedAnchors(tuple(usc)),
+        deployment=Usc(n=8),
         ssp=DEFAULT_SSP,
-        noise=noise,
+        noise=NoiseModel.constant_variance(1e-3),
         trials=trials,
         master_seed=master_seed,
     )
-    schemes = {
-        "usc": Variant(deployment=FixedAnchors(tuple(usc))),
-        "cube": Variant(deployment=FixedAnchors(cube)),
-        "random": Variant(deployment=FixedAnchors(rand)),
-    }
-    return SweepSpec(
-        axis=Axis.SIGMA_MS, values=(0.1, 0.5, 1.0, 5.0, 10.0), base=base, schemes=schemes
-    )
+    usc, _ = _fixed_layout(scene)
+    layouts = {"usc": tuple(usc)}
+    for name, dep in (("cube", Cube()), ("random", Random(seed=master_seed))):
+        anchors, _ = _fixed_layout(replace(scene, deployment=dep))
+        layouts[name] = _to_mean_range(anchors, auv, usc)
+    schemes = {name: replace(scene, deployment=FixedAnchors(a)) for name, a in layouts.items()}
+    return SweepSpec(axis=Axis.SIGMA_MS, values=(0.1, 0.5, 1.0, 5.0, 10.0), schemes=schemes)
 
 
 def fig6_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
@@ -770,7 +740,7 @@ def fig6_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
     auv = Position(50.0, 50.0, 50.0)
     noise = NoiseModel.constant_variance(1e-3)
     k6 = optimize_k(auv.z, 8, DEFAULT_SSP, noise).k_star
-    base = Scenario(
+    scene = Scenario(
         auv_truth=auv,
         deployment=Usc(scale_k=k6, n=8),
         ssp=DEFAULT_SSP,
@@ -779,15 +749,9 @@ def fig6_spec(master_seed: int = 0, trials: int = DEFAULT_TRIALS) -> SweepSpec:
         master_seed=master_seed,
         movement=RmUsc(0.0),
     )
-    schemes = {
-        "rm-usc": Variant(movement=RmUsc(0.0)),
-        "rs-usc": Variant(movement=RsUsc(0.0)),
-    }
+    schemes = {"rm-usc": scene, "rs-usc": replace(scene, movement=RsUsc(0.0))}
     return SweepSpec(
-        axis=Axis.DELTA_METERS,
-        values=(0.0, 100.0, 200.0, 300.0, 400.0, 500.0),
-        base=base,
-        schemes=schemes,
+        axis=Axis.DELTA_METERS, values=(0.0, 100.0, 200.0, 300.0, 400.0, 500.0), schemes=schemes
     )
 
 

@@ -10,6 +10,7 @@ that the test is misconfigured.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +23,14 @@ from auvgeom.deployment import (
     usc_positions,
     usc_trace_crlb_closed_form,
 )
+from auvgeom import harness
+from auvgeom.errors import AuvgeomError
 from auvgeom.estimation import DEPTH_NOISE_VAR
-from auvgeom.fisher import diagonal_lower_bound, fim
+from auvgeom.fisher import _time_and_rows, _variance_at, diagonal_lower_bound, fim
 from auvgeom.geometry import Position, SoundSpeedProfile
 from auvgeom.harness import (
+    DEFAULT_SSP,
+    RmUsc,
     Scenario,
     Usc,
     fig4a_spec,
@@ -317,4 +322,96 @@ def test_c11_observed_error_sits_on_the_bound():
         f"mean squared error {row.rmse_m**2:.2f} m^2 vs depth-augmented bound {bound:.2f} m^2, "
         f"ratio {ratio:.3f} (band [1.0, 1.25]); timing-only bound {info.trace_crlb:.2f} m^2, "
         f"ratio {row.rmse_m**2 / info.trace_crlb:.3f}",
+    )
+
+
+CENTRE = Position(50.0, 50.0, 50.0)
+
+
+def centre_bound(n, k, noise):
+    """The depth-augmented trace the harness reports for a circle at scale k
+    with the truth at its centre."""
+    layout = np.array([p.as_array() for p in usc_positions(CENTRE, n, k)])
+    _, rows, slant = _time_and_rows(CENTRE.as_array()[None], layout, DEFAULT_SSP)
+    return harness._augmented_trace(rows, _variance_at(noise, slant))
+
+
+def circle_records(noise, grid, offsets, seeds):
+    """One harness._run_mc call over every (n, k) of grid, seed and truth.
+
+    The truth sits at the circle's centre (offset 0) or drifts the offset
+    in a random direction per trial, the anchors left in place.  Cells of
+    one seed draw the same deviates.  Returns the records by (n, k,
+    offset), one per seed.
+    """
+    keys, cells = [], []
+    for n, k in grid:
+        for seed in seeds:
+            centre = Scenario(CENTRE, Usc(scale_k=k, n=n), DEFAULT_SSP, noise, 2000, seed)
+            for d in offsets:
+                keys.append((n, k, d))
+                cells.append(replace(centre, movement=RmUsc(d)) if d else centre)
+    by: dict = {}
+    for key, record in zip(keys, harness._run_mc(cells)):
+        if isinstance(record, AuvgeomError):
+            raise record
+        by.setdefault(key, []).append(record)
+    return by
+
+
+def rmse_and_bias(records):
+    """RMSE over the records' converged trials, and the bias: at the centre
+    the norm of the mean error, off it the mean error along each trial's
+    displacement (negative: toward the centre)."""
+    truth = np.concatenate([np.broadcast_to(r.truth, r.q_hat.shape)[r.converged] for r in records])
+    err = np.concatenate([r.q_hat[r.converged] for r in records]) - truth
+    rmse = math.sqrt(np.mean(np.sum(err**2, axis=1)))
+    away = truth - CENTRE.as_array()
+    dist = np.linalg.norm(away, axis=1)
+    if not dist.any():
+        return rmse, float(np.linalg.norm(err.mean(axis=0)))
+    return rmse, float(np.mean(np.sum(err * away, axis=1) / dist))
+
+
+def where(offset):
+    return "centre" if not offset else f"{offset:g} m off"
+
+
+def test_c13_depth_aware_radius_beats_k_star():
+    t0 = time.perf_counter()
+    seeds = range(4)
+    # fig6's scene: the optimum of the depth-augmented bound against k*
+    ms1 = NoiseModel.constant_variance(1e-3)
+    k_star = optimize_k(CENTRE.z, 8, DEFAULT_SSP, ms1).k_star
+    ks = np.round(np.arange(500, 4001) * 1e-3, 3)
+    k_aug = float(ks[np.argmin([centre_bound(8, k, ms1) for k in ks])])
+    offsets = (0.0, 20.0, 40.0)
+    by = circle_records(ms1, [(8, k_star), (8, k_aug)], offsets, seeds)
+    per_seed = {key: [rmse_and_bias([r])[0] for r in recs] for key, recs in by.items()}
+    wins = sum(a < b for a, b in zip(per_seed[(8, k_aug, 0.0)], per_seed[(8, k_star, 0.0)]))
+
+    # fig4a's distance-noise scene: the RMSE-optimal radius, seeds pooled
+    grid = []
+    for n in (4, 8):
+        star = optimize_k(CENTRE.z, n, DEFAULT_SSP, DD).k_star
+        grid += [(n, k) for k in (0.5, 0.7, star, 1.0, 1.2, 1.4)]
+    pooled = circle_records(DD, grid, (0.0, 40.0), seeds)
+    best = []
+    for n in (4, 8):
+        for d in (0.0, 40.0):
+            rmse, k = min((rmse_and_bias(pooled[(n, k, d)])[0], k) for m, k in grid if m == n)
+            best.append(f"n={n} {where(d)} k={k:.4g} ({rmse:.2f} m)")
+    flag(13, "distance noise, RMSE-optimal k of {0.5, 0.7, k*, 1.0, 1.2, 1.4}: " + ", ".join(best))
+
+    def side(k, d):
+        rmse = " / ".join(f"{x:.4f}" for x in per_seed[(8, k, d)])
+        return f"{rmse} m (bias {rmse_and_bias(by[(8, k, d)])[1]:+.4f} m)"
+
+    detail = "; ".join(f"{where(d)} {side(k_aug, d)} vs {side(k_star, d)}" for d in offsets)
+    check(
+        13,
+        wins == len(seeds),
+        f"1 ms, n=8: centre RMSE at k_aug={k_aug:.3f} below k*={k_star:.4f} on "
+        f"{wins}/{len(seeds)} seeds; RMSE per seed at k_aug vs k*: {detail}; "
+        f"{time.perf_counter() - t0:.1f}s",
     )

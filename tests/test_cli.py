@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import auvgeom
 from auvgeom import cli
 from auvgeom.cli import main
-from auvgeom.harness import CSV_CONTRACT, CSV_HEADER, load_csv
+from auvgeom.harness import CSV_CONTRACT, CSV_HEADER, _row_line, fig3_spec, load_csv, sweep
 
 
 def run(capsys, *argv):
@@ -366,6 +367,21 @@ class TestOptimizeK:
         assert (tmp_path / "ksweep.svg").read_text().startswith("<svg")
 
 
+    @pytest.mark.parametrize(
+        "sets",
+        [(), ("movement.kind=rs-usc", "trials=7")],
+        ids=["defaults", "rs_usc_7_trials"],
+    )
+    def test_ksweep_rows_are_fig3s_eight_anchor_rows(self, capsys, tmp_path, sets):
+        # radius-scale rows read neither the trial count nor the movement
+        argv = [a for leaf in sets for a in ("--set", leaf)]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path), "optimize-k")
+        assert code == 0
+        got = load_csv(str(tmp_path / "ksweep.csv")).rows
+        want = [replace(r, scheme="usc") for r in sweep(fig3_spec()).rows if r.scheme == "usc-n8"]
+        assert [_row_line(r) for r in got] == [_row_line(r) for r in want]
+
+
 class TestSimulate:
     def test_repeat_seed_gives_identical_bytes(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -435,6 +451,16 @@ class TestSimulate:
         cfg.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "--config", str(cfg), "--out", str(tmp_path), "simulate")
         assert code == 2
+
+    def test_radius_scale_sweep_with_three_anchors_writes_annotated_rows(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "--set", "sweep.axis=scale_k", "--set", "sweep.values=[0.5,1.0]",
+            "--set", "deployment.n=3", "--out", str(tmp_path), "simulate",
+        )
+        assert (code, err) == (0, "")
+        rows = load_csv(str(tmp_path / "simulate.csv")).rows
+        assert [(r.axis_value, r.trials) for r in rows] == [(0.5, 0), (1.0, 0)]
+        assert all(r.note.startswith("TooFewAnchors") for r in rows)
 
     def test_fractional_anchor_count_exit_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -88,8 +88,8 @@ class TestUscPositions:
 
     def test_layout_builder(self):
         auv = Position(1.0, 2.0, 30.0)
-        anchors, k, n = _fixed_layout(scene(auv, Usc(scale_k=0.9, n=5)))
-        assert (k, n) == (0.9, 5)
+        anchors, k = _fixed_layout(scene(auv, Usc(scale_k=0.9, n=5)))
+        assert k == 0.9
         assert anchors == usc_positions(auv, 5, 0.9)
 
     def test_too_few_anchors(self):
@@ -649,12 +649,11 @@ class TestDefaults:
     def test_baseline_layout_dispatch(self):
         auv = Position(0.0, 0.0, 50.0)
         center, side = default_cube_for(auv)
-        anchors, k, n = _fixed_layout(scene(auv, Cube()))
+        anchors, k = _fixed_layout(scene(auv, Cube()))
         assert anchors == cube_positions(center, side, 8)
-        assert math.isnan(k) and n == 8
-        anchors, _, n = _fixed_layout(scene(auv, Random(n=6, seed=3)))
+        assert math.isnan(k)
+        anchors, _ = _fixed_layout(scene(auv, Random(n=6, seed=3)))
         assert anchors == random_positions(default_box_for(auv), 6, 3)
-        assert n == 6
         # no seed: the harness redraws the layout every trial
         assert _fixed_layout(scene(auv, Random(n=6)))[0] is None
         with pytest.raises(UnsupportedCount):

@@ -559,7 +559,7 @@ class TestStartPoint:
         # each along its own seeded bearing, moves the cell's RMSE 1.5%
         spec = harness.fig4a_spec(master_seed=0, trials=2000)
         [(rtt, depth, layout, ssp, noise, config)] = recorded_inputs(spec, [("usc", 4.0)])
-        truth = spec.base.auv_truth.as_array()
+        truth = spec.schemes["usc"].auv_truth.as_array()
 
         def rmse(q, converged):
             return math.sqrt(np.mean(np.sum((q[converged] - truth) ** 2, axis=1)))

@@ -36,7 +36,6 @@ from auvgeom.harness import (
     Static,
     SweepSpec,
     Usc,
-    Variant,
     _measurements,
     _row_line,
     _sweep_cells,
@@ -89,13 +88,17 @@ class TestValidation:
             FixedAnchors(anchors=(AUV, AUV, AUV))
 
     def test_sweep_spec_axis_values(self):
-        base = small_scenario()
+        schemes = {"usc": small_scenario()}
         with pytest.raises(ValueError):
-            SweepSpec(axis=Axis.SIGMA_MS, values=(), base=base)
+            SweepSpec(axis=Axis.SIGMA_MS, values=(), schemes=schemes)
         with pytest.raises(ValueError):
-            SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 1.0), base=base)
+            SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 1.0), schemes=schemes)
         with pytest.raises(ValueError):
-            SweepSpec(axis=Axis.SIGMA_MS, values=(2.0, 1.0), base=base)
+            SweepSpec(axis=Axis.SIGMA_MS, values=(2.0, 1.0), schemes=schemes)
+
+    def test_sweep_spec_needs_a_scheme(self):
+        with pytest.raises(ValueError, match="at least one scheme"):
+            SweepSpec(axis=Axis.SIGMA_MS, values=(1.0,), schemes={})
 
     def test_axis_model_mismatches_raise(self):
         dd = Scenario(
@@ -106,21 +109,24 @@ class TestValidation:
             trials=5,
             master_seed=0,
         )
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=dd)
+        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), schemes={"usc": dd})
         with pytest.raises(ValueError):
             sweep(spec)
         fixed = small_scenario(
             deployment=FixedAnchors(tuple(Position(float(i * 7), 0.0, 0.0) for i in range(4)))
         )
         with pytest.raises(ValueError):
-            sweep(SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.0, 5.0), base=fixed))
+            sweep(SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.0, 5.0), schemes={"fixed": fixed}))
+        cube, usc = small_scenario(deployment=Cube()), small_scenario()
         with pytest.raises(ValueError):
-            sweep(SweepSpec(axis=Axis.SCALE_K, values=(0.5, 1.0), base=small_scenario(deployment=Cube())))
+            sweep(SweepSpec(axis=Axis.SCALE_K, values=(0.5, 1.0), schemes={"cube": cube}))
         with pytest.raises(ValueError):
-            sweep(SweepSpec(axis=Axis.DELTA_METERS, values=(0.0, 50.0), base=small_scenario()))
+            sweep(SweepSpec(axis=Axis.DELTA_METERS, values=(0.0, 50.0), schemes={"usc": usc}))
 
     def test_fractional_anchor_count_rejected(self):
-        spec = SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.5, 5.0), base=small_scenario(trials=5))
+        spec = SweepSpec(
+            axis=Axis.ANCHOR_COUNT, values=(4.5, 5.0), schemes={"usc": small_scenario(trials=5)}
+        )
         with pytest.raises(ValueError, match="whole number"):
             sweep(spec)
         whole = replace(spec, values=(4.0, 5.0))
@@ -218,10 +224,10 @@ class TestSweep:
     def small_spec(self, trials=25):
         base = small_scenario(trials=trials)
         schemes = {
-            "usc": Variant(deployment=Usc(scale_k=0.85, n=8)),
-            "cube": Variant(deployment=Cube()),
+            "usc": replace(base, deployment=Usc(scale_k=0.85, n=8)),
+            "cube": replace(base, deployment=Cube()),
         }
-        return SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.0, 6.0, 8.0), base=base, schemes=schemes)
+        return SweepSpec(axis=Axis.ANCHOR_COUNT, values=(4.0, 6.0, 8.0), schemes=schemes)
 
     def test_worker_count_does_not_change_rows(self):
         # NaN k columns defeat Row equality, so compare the rendered CSV
@@ -247,21 +253,40 @@ class TestSweep:
 
     def test_overflowing_radius_rows_are_inf_without_warnings(self):
         spec = fig3_spec()
-        spec = replace(spec, base=replace(spec.base, noise=NoiseModel.distance_dependent(ke_db=1e308)))
+        loud = NoiseModel.distance_dependent(ke_db=1e308)
+        spec = replace(spec, schemes={k: replace(s, noise=loud) for k, s in spec.schemes.items()})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = sweep(spec)
         assert len(table.rows) == 105
         assert all(r.trace_crlb_m2 == math.inf for r in table.rows)
 
+    def test_radius_scale_cell_with_too_few_anchors_becomes_annotated_rows(self):
+        # three anchors fail every radius-scale cell of their scheme; the
+        # other scheme's rows are the ones it has alone
+        spec = fig3_spec()
+        n8 = spec.schemes["usc-n8"]
+        schemes = {"usc-n3": replace(n8, deployment=Usc(scale_k=1.0, n=3)), "usc-n8": n8}
+        table = sweep(replace(spec, schemes=schemes))
+        assert len(table.rows) == 42
+        failed, rest = table.rows[:21], table.rows[21:]
+        for r in failed:
+            assert (r.scheme, r.n_anchors, r.trials, r.diverged) == ("usc-n3", 3, 0, 0)
+            assert r.note == "TooFewAnchors: USC needs at least 4 anchors, got 3"
+            assert math.isnan(r.k) and math.isnan(r.trace_crlb_m2)
+        alone = sweep(replace(spec, schemes={"usc-n8": n8})).rows
+        assert [_row_line(r) for r in rest] == [_row_line(r) for r in alone]
+        assert not any(r.note for r in rest)
+        assert csv_text(table).count("# note: usc-n3@") == 21
+
     def test_failed_cell_becomes_annotated_row(self):
         coplanar = tuple(Position(x, 50.0, 0.0) for x in (0.0, 40.0, 80.0, 120.0))
         base = small_scenario(trials=10)
         schemes = {
-            "usc": Variant(deployment=Usc(scale_k=0.85, n=8)),
-            "bad": Variant(deployment=FixedAnchors(coplanar)),
+            "usc": replace(base, deployment=Usc(scale_k=0.85, n=8)),
+            "bad": replace(base, deployment=FixedAnchors(coplanar)),
         }
-        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=base, schemes=schemes)
+        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), schemes=schemes)
         table = sweep(spec)
         bad = [r for r in table.rows if r.scheme == "bad"]
         assert len(bad) == 2
@@ -278,7 +303,7 @@ class TestSweep:
         spec = SweepSpec(
             axis=Axis.SIGMA_MS,
             values=(1.0,),
-            base=small_scenario(trials=10, deployment=FixedAnchors(plane)),
+            schemes={"fixed": small_scenario(trials=10, deployment=FixedAnchors(plane))},
         )
         (row,) = sweep(spec).rows
         assert row.note.startswith("SingularFim")
@@ -434,8 +459,10 @@ class TestTaskGroups:
         # clipped steps leave it at the iteration cap, while the usc trials
         # in the same call converge; both anchor counts share that call
         tiny = Random(box=((0.0, 0.01),) * 3, seed=None)
-        schemes = {"usc": Variant(deployment=Usc(n=8)), "tiny": Variant(deployment=tiny)}
-        spec = replace(fig4a_spec(trials=20), values=(6.0, 8.0), schemes=schemes)
+        spec = fig4a_spec(trials=20)
+        usc = spec.schemes["usc"]
+        schemes = {"usc": replace(usc, deployment=Usc(n=8)), "tiny": replace(usc, deployment=tiny)}
+        spec = replace(spec, values=(6.0, 8.0), schemes=schemes)
         calls = self.estimator_calls(monkeypatch)
         table = sweep(spec, workers=2)
         assert calls == [(80, 20)]
@@ -527,13 +554,12 @@ class TestCsv:
         # a five-anchor vertical-plane layout fails on every sigma; the
         # hand-made last row puts a divergence warning between note and row
         plane = tuple(Position(x, 50.0, 0.0) for x in (-60.0, -10.0, 90.0, 140.0, 190.0))
+        base = small_scenario(trials=10)
         schemes = {
-            "usc": Variant(deployment=Usc(scale_k=0.85, n=8)),
-            "plane": Variant(deployment=FixedAnchors(plane)),
+            "usc": replace(base, deployment=Usc(scale_k=0.85, n=8)),
+            "plane": replace(base, deployment=FixedAnchors(plane)),
         }
-        spec = SweepSpec(
-            axis=Axis.SIGMA_MS, values=(1.0, 2.0), base=small_scenario(trials=10), schemes=schemes
-        )
+        spec = SweepSpec(axis=Axis.SIGMA_MS, values=(1.0, 2.0), schemes=schemes)
         flagged = Row("sigma_ms", 3.0, "x y", 8, 0.85, 9.9, 90.0, 7, 10, 0, note="odd: a b")
         table = ResultTable(rows=sweep(spec).rows + (flagged,))
         path1 = str(tmp_path / "a.csv")
@@ -624,18 +650,18 @@ class TestFigurePresets:
         assert spec.axis is Axis.ANCHOR_COUNT
         assert spec.values == (4.0, 5.0, 6.0, 7.0, 8.0)
         assert set(spec.schemes) == {"usc", "cube", "random"}
-        assert spec.base.noise.kind == "distance_dependent"
+        assert spec.schemes["usc"].noise.kind == "distance_dependent"
         assert spec.schemes["random"].deployment.seed is None
 
     def test_fig5_layouts_share_mean_range(self):
         spec = fig5_spec(trials=10)
-        a0 = spec.base.auv_truth.as_array()
+        a0 = spec.schemes["usc"].auv_truth.as_array()
         means = []
-        for variant in spec.schemes.values():
-            pts = np.array([p.as_array() for p in variant.deployment.anchors])
+        for scene in spec.schemes.values():
+            pts = np.array([p.as_array() for p in scene.deployment.anchors])
             means.append(np.linalg.norm(pts - a0, axis=1).mean())
         assert np.ptp(means) < 1e-9
-        assert spec.base.noise.kind == "constant_variance"
+        assert spec.schemes["usc"].noise.kind == "constant_variance"
 
     def test_fig6_shape(self):
         spec = fig6_spec(trials=10)
